@@ -81,7 +81,7 @@ void AdapterProtocol::shutdown() {
   beacon_send_timer_.cancel();
   beacon_end_timer_.cancel();
   defer_timer_.cancel();
-  heard_.clear();
+  clear_heard();
   stale_notice_sent_.clear();
   // The report counter dies with the daemon process: after a restart this
   // adapter numbers its reports from scratch (GSC recognizes the fresh
@@ -104,7 +104,7 @@ bool AdapterProtocol::unicast(util::IpAddress to, net::Payload frame) {
 
 void AdapterProtocol::begin_beaconing() {
   state_ = AdapterState::kBeaconing;
-  heard_.clear();
+  clear_heard();
   defer_join_attempted_ = false;
   beacon_send_timer_.cancel();
   beacon_end_timer_.cancel();
@@ -121,6 +121,30 @@ void AdapterProtocol::begin_beaconing() {
           : params_.beacon_setup_min;
   beacon_end_timer_ = sim_.after(params_.beacon_phase + setup_extra,
                                  [this] { end_beacon_phase(); });
+}
+
+void AdapterProtocol::clear_heard() {
+  heard_max_ = util::IpAddress();
+  heard_higher_leaders_.clear();
+  heard_.clear();
+}
+
+void AdapterProtocol::note_heard(const Beacon& msg) {
+  const util::IpAddress ip = msg.self.ip;
+  heard_max_ = std::max(heard_max_, ip);
+  if (ip > self_ip()) {
+    // Self can no longer win this phase: the full set is never needed
+    // again, only whether this higher IP's latest beacon claims leadership.
+    heard_.clear();
+    const auto it = std::find(heard_higher_leaders_.begin(),
+                              heard_higher_leaders_.end(), ip);
+    if (msg.is_leader && it == heard_higher_leaders_.end())
+      heard_higher_leaders_.push_back(ip);
+    else if (!msg.is_leader && it != heard_higher_leaders_.end())
+      heard_higher_leaders_.erase(it);
+  } else if (heard_max_ < self_ip()) {
+    heard_[ip] = HeardBeacon{msg.self, msg.is_leader};
+  }
 }
 
 void AdapterProtocol::beacon_tick() {
@@ -141,9 +165,7 @@ void AdapterProtocol::beacon_tick() {
 void AdapterProtocol::end_beacon_phase() {
   if (state_ != AdapterState::kBeaconing) return;
 
-  util::IpAddress best = self_ip();
-  for (const auto& [ip, heard] : heard_) best = std::max(best, ip);
-
+  const util::IpAddress best = std::max(self_ip(), heard_max_);
   if (best == self_ip()) {
     // We have the highest IP: undertake group formation (§2.1). Fellow
     // beaconers (non-leaders) become our members; committed groups we
@@ -178,8 +200,8 @@ void AdapterProtocol::defer_expired() {
   // one more defer period; then the singleton fallback repairs the rest.
   if (!defer_join_attempted_) {
     util::IpAddress target;
-    for (const auto& [ip, heard] : heard_)
-      if (heard.is_leader && ip > self_ip()) target = std::max(target, ip);
+    for (const util::IpAddress ip : heard_higher_leaders_)
+      target = std::max(target, ip);
     if (!target.is_unspecified()) {
       defer_join_attempted_ = true;
       GS_LOG(kDebug, "amg") << self_ip() << " defer timeout; joining leader "
@@ -554,11 +576,7 @@ void AdapterProtocol::handle_beacon(util::IpAddress src, const Beacon& msg) {
   switch (state_) {
     case AdapterState::kBeaconing:
     case AdapterState::kWaitingForLeader: {
-      HeardBeacon heard;
-      heard.info = msg.self;
-      heard.is_leader = msg.is_leader;
-      heard.view = msg.view;
-      heard_[msg.self.ip] = heard;
+      note_heard(msg);
       trace(obs::TraceKind::kBeaconHeard, msg.self.ip, msg.view,
             msg.is_leader ? 1 : 0);
       return;

@@ -140,6 +140,9 @@ class AdapterProtocol {
   [[nodiscard]] std::size_t stale_notice_entries() const {
     return stale_notice_sent_.size();
   }
+  // Size of the discovery heard set (tests assert it is dropped as soon as
+  // a higher IP is heard).
+  [[nodiscard]] std::size_t heard_entries() const { return heard_.size(); }
 
   // --- Reporting interface (leader only; driven by the daemon) --------------
 
@@ -155,6 +158,8 @@ class AdapterProtocol {
 
   // --- Discovery ------------------------------------------------------------
   void begin_beaconing();
+  void clear_heard();
+  void note_heard(const Beacon& msg);
   void beacon_tick();
   void end_beacon_phase();
   void defer_expired();
@@ -228,12 +233,18 @@ class AdapterProtocol {
   ProtocolStats stats_;
   std::unique_ptr<FailureDetector> fd_;
 
-  // Discovery.
+  // Discovery. The beacon phase only ever asks three questions of what it
+  // heard, so only their answers are kept (see DESIGN.md, "Discovery
+  // state"): the highest IP heard; which higher IPs' latest beacon claimed
+  // leadership (defer_expired's join target); and — only while no higher IP
+  // has been heard, i.e. while self is still the top candidate — every
+  // peer's latest beacon, which becomes the formation's membership.
   struct HeardBeacon {
     MemberInfo info;
     bool is_leader = false;
-    std::uint64_t view = 0;
   };
+  util::IpAddress heard_max_;
+  std::vector<util::IpAddress> heard_higher_leaders_;
   std::map<util::IpAddress, HeardBeacon> heard_;
   sim::Timer beacon_send_timer_;
   sim::Timer beacon_end_timer_;

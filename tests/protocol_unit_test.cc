@@ -5,8 +5,10 @@
 
 #include <deque>
 #include <map>
+#include <set>
 
 #include "gs/adapter_protocol.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "wire/frame.h"
 
@@ -492,6 +494,112 @@ TEST_F(ProtocolUnit, DeferTimeoutTriesHeardLeaderBeforeSingleton) {
   ASSERT_TRUE(proto_->is_committed());
   EXPECT_TRUE(proto_->is_leader());
   EXPECT_EQ(proto_->committed().size(), 1u);
+}
+
+// --- Discovery state --------------------------------------------------------
+
+TEST_F(ProtocolUnit, DeferJoinIgnoresLeaderWhoseLatestBeaconDisclaimsIt) {
+  make_protocol(5);
+  proto_->start();
+  // 9 beacons as a committed leader, then (after a reset) as a beaconer:
+  // the latest beacon wins, so at defer expiry there is nobody to join.
+  Beacon b{};
+  b.self = member(9);
+  b.is_leader = true;
+  b.view = 4;
+  inject(ip(9), b);
+  b.is_leader = false;
+  b.view = 0;
+  inject(ip(9), b);
+  sim_.run_until(sim_.now() + params_.beacon_phase + sim::milliseconds(1));
+  ASSERT_EQ(proto_->state(), AdapterState::kWaitingForLeader);
+
+  sim_.run_until(sim_.now() + params_.defer_timeout + sim::milliseconds(1));
+  EXPECT_EQ(count_sent(MsgType::kJoinRequest), 0u);
+  ASSERT_TRUE(proto_->is_committed());
+  EXPECT_EQ(proto_->committed().size(), 1u);
+}
+
+TEST_F(ProtocolUnit, DeferJoinTargetsHighestHeardLeader) {
+  make_protocol(5);
+  proto_->start();
+  Beacon b{};
+  b.is_leader = true;
+  b.view = 4;
+  b.self = member(9);
+  inject(ip(9), b);
+  b.self = member(7);
+  inject(ip(7), b);
+  b.self = member(3);  // a lower leader is never a join target
+  inject(ip(3), b);
+  sim_.run_until(sim_.now() + params_.beacon_phase + sim::milliseconds(1));
+  ASSERT_EQ(proto_->state(), AdapterState::kWaitingForLeader);
+
+  sim_.run_until(sim_.now() + params_.defer_timeout + sim::milliseconds(1));
+  EXPECT_NE(find_sent(MsgType::kJoinRequest, ip(9)), nullptr);
+  EXPECT_EQ(count_sent(MsgType::kJoinRequest), 1u);
+}
+
+TEST_F(ProtocolUnit, TopCandidateCountsDistinctPeersAndPreparesNonLeaders) {
+  obs::TraceBus bus;
+  params_.trace = &bus;
+  std::vector<std::uint64_t> won;
+  auto sub = bus.subscribe(obs::trace_mask({obs::TraceKind::kElectionWon}),
+                           [&](const obs::TraceRecord& r) {
+                             won.push_back(r.a);
+                           });
+  make_protocol(9);
+  proto_->start();
+  Beacon b{};
+  // Repeats are one peer each: 5, 3 and 7 are heard, plus 4 below.
+  for (const std::uint8_t host : std::initializer_list<std::uint8_t>{
+           5, 3, 5, 7, 3}) {
+    b.self = member(host);
+    inject(ip(host), b);
+  }
+  b.self = member(4);  // a lower committed leader merges later, not now
+  b.is_leader = true;
+  inject(ip(4), b);
+  b.self = member(7);  // 7's latest beacon claims leadership
+  inject(ip(7), b);
+  EXPECT_EQ(proto_->heard_entries(), 4u);
+  sim_.run_until(sim_.now() + params_.beacon_phase + sim::milliseconds(1));
+
+  ASSERT_EQ(won.size(), 1u);
+  EXPECT_EQ(won[0], 4u);
+  const SentFrame* prep = find_sent(MsgType::kPrepare);
+  ASSERT_NE(prep, nullptr);
+  const auto prepare = decode_Prepare(prep->payload);
+  ASSERT_TRUE(prepare.has_value());
+  std::set<util::IpAddress> members;
+  for (const MemberInfo& m : prepare->members) members.insert(m.ip);
+  EXPECT_EQ(members, (std::set<util::IpAddress>{ip(9), ip(5), ip(3)}));
+}
+
+TEST_F(ProtocolUnit, HeardSetDroppedOnceHigherIpHeardAndOnShutdown) {
+  make_protocol(5);
+  proto_->start();
+  Beacon b{};
+  b.self = member(3);
+  inject(ip(3), b);
+  b.self = member(4);
+  inject(ip(4), b);
+  EXPECT_EQ(proto_->heard_entries(), 2u);
+
+  b.self = member(9);
+  inject(ip(9), b);
+  EXPECT_EQ(proto_->heard_entries(), 0u);
+  b.self = member(2);  // never refilled once self cannot win the phase
+  inject(ip(2), b);
+  EXPECT_EQ(proto_->heard_entries(), 0u);
+
+  proto_->shutdown();
+  EXPECT_EQ(proto_->heard_entries(), 0u);
+  // A restart begins a fresh phase with an empty set.
+  proto_->restart();
+  b.self = member(3);
+  inject(ip(3), b);
+  EXPECT_EQ(proto_->heard_entries(), 1u);
 }
 
 TEST_F(ProtocolUnit, StaleNoticeMapPrunedWhenPeerJoins) {

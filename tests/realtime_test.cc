@@ -191,7 +191,7 @@ TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
 
   sim::WallClock clock;
   net::EventLoop loop;
-  net::UdpPortMap map(48200, 16);
+  net::UdpPortMap map(48300, 16);  // ports: see udp_transport_test.cc
 
   auto transport_a = std::make_unique<net::UdpTransport>(
       loop, map, std::vector<net::UdpTransport::PortSpec>{loop_port(1)});
@@ -237,7 +237,8 @@ TEST(ShutdownOrderingTest, RealFarmKillThenTeardownIsClean) {
   // kill_node closes sockets while the victim's timers are still queued;
   // the farm must keep running and tear down without touching them.
   farm::RealFarm::Options opts;
-  opts.base_port = 48300;
+  opts.base_port = 48340;  // ports: see udp_transport_test.cc
+  opts.vlan_stride = 16;
   opts.params.start_skew_max = 0;
   opts.params.beacon_phase = sim::milliseconds(80);
   opts.params.beacon_interval = sim::milliseconds(20);

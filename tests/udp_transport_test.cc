@@ -58,10 +58,31 @@ TEST(UdpPortMapTest, PortSpaceExhaustionAbortsInsteadOfWrapping) {
   EXPECT_DEATH((void)map.vlan_base(util::VlanId(17)), "port space exhausted");
 }
 
+// Every case that binds sockets gets its own port range. gtest-discovered
+// cases run as parallel ctest processes, SO_REUSEADDR lets two processes
+// bind one UDP port, and the transport accepts any loopback datagram whose
+// source port its map resolves — so two cases sharing a range receive each
+// other's frames. Socket-binding ranges across the suite:
+//   48100-48299  UdpTransportTest: one 40-port block per case, VLAN stride
+//                16 (two VLANs at most)
+//   48300-48399  ShutdownOrderingTest (realtime_test.cc)
+// All clear of the examples (47000+) and farm_e2e's real_udp (29000+).
+enum class Block : std::uint16_t {
+  kUnicast,
+  kMulticast,
+  kUnknownDestination,
+  kClose,
+  kCorruptFrame,
+};
+
 struct Harness {
+  explicit Harness(Block block)
+      : map(static_cast<std::uint16_t>(48100 + 40 * static_cast<int>(block)),
+            16) {}
+
   sim::WallClock clock;
   EventLoop loop;
-  UdpPortMap map{48100, 32};
+  UdpPortMap map;
 
   bool pump(const std::function<bool()>& until) {
     return loop.run_until(clock, clock.now() + sim::seconds(5), until);
@@ -69,7 +90,7 @@ struct Harness {
 };
 
 TEST(UdpTransportTest, UnicastRoundTripDeliversFrameWithResolvedSource) {
-  Harness h;
+  Harness h(Block::kUnicast);
   UdpTransport a(h.loop, h.map, {spec(1, 1)});
   UdpTransport b(h.loop, h.map, {spec(2, 1)});
 
@@ -92,7 +113,7 @@ TEST(UdpTransportTest, UnicastRoundTripDeliversFrameWithResolvedSource) {
 }
 
 TEST(UdpTransportTest, MulticastFansOutToVlanPeersOnly) {
-  Harness h;
+  Harness h(Block::kMulticast);
   UdpTransport a(h.loop, h.map, {spec(1, 1)});
   UdpTransport b(h.loop, h.map, {spec(2, 1)});
   UdpTransport c(h.loop, h.map, {spec(3, 1)});
@@ -118,7 +139,7 @@ TEST(UdpTransportTest, MulticastFansOutToVlanPeersOnly) {
 }
 
 TEST(UdpTransportTest, UnknownDestinationCountsAsSendErrorNotFailure) {
-  Harness h;
+  Harness h(Block::kUnknownDestination);
   UdpTransport a(h.loop, h.map, {spec(1, 1)});
   const std::vector<std::uint8_t> one = {0x00};
   // Unreachable receiver: still "sent" from the daemon's point of view.
@@ -128,7 +149,7 @@ TEST(UdpTransportTest, UnknownDestinationCountsAsSendErrorNotFailure) {
 }
 
 TEST(UdpTransportTest, CloseSilencesSendsReceivesAndLoopback) {
-  Harness h;
+  Harness h(Block::kClose);
   UdpTransport a(h.loop, h.map, {spec(1, 1)});
   UdpTransport b(h.loop, h.map, {spec(2, 1)});
   const std::vector<std::uint8_t> one = {0x00};
@@ -151,7 +172,7 @@ TEST(UdpTransportTest, CorruptFrameIsDroppedAndAccountedByTheDaemon) {
   // End-to-end CRC accounting over real sockets: a daemon receives one good
   // frame and one corrupted frame; the corruption lands in
   // wire_stats().dropped[kBadChecksum] exactly like the sim backend.
-  Harness h;
+  Harness h(Block::kCorruptFrame);
   UdpTransport sender(h.loop, h.map, {spec(1, 1)});
   auto receiver = std::make_unique<UdpTransport>(
       h.loop, h.map, std::vector<UdpTransport::PortSpec>{spec(2, 1)});
