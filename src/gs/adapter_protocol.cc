@@ -1058,11 +1058,16 @@ HandleResult AdapterProtocol::handle_frame(util::IpAddress src, MsgType type,
       if (msg == nullptr) return HandleResult::kDecodeError;
       bump_clock(msg->view);
       maybe_implicit_commit(msg->view);
-      if (is_committed() && committed_.contains(src)) {
-        if (fd_) fd_->on_heartbeat(src, *msg);
-        return HandleResult::kHandled;
-      }
-      if (is_committed() && msg->view <= committed_.view()) {
+      if (!is_committed()) return HandleResult::kHandled;
+      // Fast path first: the steady-state heartbeat comes from a monitored
+      // neighbour and skips the membership search. Sound because start_fd()
+      // runs with committed_ on every install, and committed_ is otherwise
+      // only cleared next to stop_fd(), so the detector's monitored peers
+      // are always a subset of committed_. A heartbeat the detector does
+      // not consume falls back to the full check.
+      if (fd_ && fd_->on_heartbeat(src, *msg)) return HandleResult::kHandled;
+      if (committed_.contains(src)) return HandleResult::kHandled;
+      if (msg->view <= committed_.view()) {
         // A stale ex-member is still heartbeating us: tell it to rejoin.
         // Equality counts as stale too — view numbers of *different* group
         // incarnations are not ordered, and a restarted neighbor's new group

@@ -70,7 +70,9 @@ class FailureDetector {
   virtual void start(const MembershipView& view) = 0;
   virtual void stop() = 0;
 
-  virtual void on_heartbeat(util::IpAddress from, const Heartbeat& hb) = 0;
+  // Returns true when the heartbeat was consumed: it carries the detector's
+  // view and `from` is a monitored peer. False leaves it to the caller.
+  virtual bool on_heartbeat(util::IpAddress from, const Heartbeat& hb) = 0;
   virtual void on_ping_ack(util::IpAddress from, const PingAck& ack) {
     (void)from;
     (void)ack;

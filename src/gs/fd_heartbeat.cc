@@ -124,11 +124,15 @@ void HeartbeatFd::start(const MembershipView& view) {
 void HeartbeatFd::send_heartbeats() {
   if (!running_) return;
   ++hb_seq_;
-  for (util::IpAddress peer : targets_) {
+  if (!targets_.empty()) {
+    // Every target gets the same bytes, so frame once and share the payload:
+    // one encode + CRC per period, and the payload's cached verdict and
+    // decode serve every receiver.
     Heartbeat hb{};
     hb.view = view_.view();
     hb.seq = hb_seq_;
-    ctx_.send(peer, ctx_.framed(hb));
+    const net::Payload frame = ctx_.framed(hb);
+    for (util::IpAddress peer : targets_) ctx_.send(peer, frame);
   }
   send_timer_ = ctx_.sim->after(ctx_.params->hb_period,
                                 [this] { send_heartbeats(); });
@@ -165,13 +169,14 @@ void HeartbeatFd::monitor_expired(util::IpAddress peer) {
   arm_monitor(peer, /*after_suspicion=*/true);
 }
 
-void HeartbeatFd::on_heartbeat(util::IpAddress from, const Heartbeat& hb) {
-  if (!running_) return;
-  if (hb.view != view_.view()) return;  // stale traffic handled upstream
+bool HeartbeatFd::on_heartbeat(util::IpAddress from, const Heartbeat& hb) {
+  if (!running_) return false;
+  if (hb.view != view_.view()) return false;  // stale traffic handled upstream
   if (std::find(monitored_.begin(), monitored_.end(), from) ==
       monitored_.end())
-    return;
+    return false;
   arm_monitor(from, /*after_suspicion=*/false);
+  return true;
 }
 
 void HeartbeatFd::send_polls() {

@@ -21,7 +21,7 @@ class HeartbeatFd final : public FailureDetector {
   void start(const MembershipView& view) override;
   void stop() override { stop_all(); }
 
-  void on_heartbeat(util::IpAddress from, const Heartbeat& hb) override;
+  bool on_heartbeat(util::IpAddress from, const Heartbeat& hb) override;
   void on_subgroup_poll_ack(util::IpAddress from,
                             const SubgroupPollAck& ack) override;
 
@@ -82,7 +82,9 @@ class RandPingFd final : public FailureDetector {
   void start(const MembershipView& view) override;
   void stop() override;
 
-  void on_heartbeat(util::IpAddress, const Heartbeat&) override {}
+  bool on_heartbeat(util::IpAddress, const Heartbeat&) override {
+    return false;
+  }
   void on_ping_ack(util::IpAddress from, const PingAck& ack) override;
   void on_ping_req(util::IpAddress from, const PingReq& req) override;
 

@@ -73,14 +73,14 @@ const Switch& Fabric::nic_switch(util::SwitchId id) const {
 
 Segment& Fabric::segment(util::VlanId vlan) {
   GS_CHECK(vlan.valid());
-  auto it = segments_.find(vlan);
-  if (it == segments_.end()) {
-    it = segments_
-             .emplace(vlan, Segment(vlan, default_channel_,
-                                    rng_.fork(0x5e6 + vlan.value())))
-             .first;
-  }
-  return it->second;
+  return segment_of(vlan, vlans_[vlan]);
+}
+
+Segment& Fabric::segment_of(util::VlanId vlan, VlanState& state) {
+  if (!state.segment)
+    state.segment.emplace(vlan, default_channel_,
+                          rng_.fork(0x5e6 + vlan.value()));
+  return *state.segment;
 }
 
 std::vector<util::AdapterId> Fabric::all_adapters() const {
@@ -123,14 +123,14 @@ std::vector<util::AdapterId> Fabric::adapters_in_vlan(
 const std::vector<util::AdapterId>& Fabric::vlan_members(
     util::VlanId vlan) const {
   static const std::vector<util::AdapterId> kEmpty;
-  auto it = vlan_index_.find(vlan);
-  return it == vlan_index_.end() ? kEmpty : it->second;
+  auto it = vlans_.find(vlan);
+  return it == vlans_.end() ? kEmpty : it->second.members;
 }
 
 std::vector<util::VlanId> Fabric::indexed_vlans() const {
   std::vector<util::VlanId> out;
-  for (const auto& [vlan, members] : vlan_index_)
-    if (!members.empty()) out.push_back(vlan);
+  for (const auto& [vlan, state] : vlans_)
+    if (!state.members.empty()) out.push_back(vlan);
   return out;
 }
 
@@ -149,13 +149,13 @@ bool Fabric::vlan_index_consistent() const {
     }
   }
   for (auto& [vlan, members] : truth) std::sort(members.begin(), members.end());
-  for (const auto& [vlan, members] : vlan_index_) {
+  for (const auto& [vlan, state] : vlans_) {
     auto it = truth.find(vlan);
     if (it == truth.end()) {
-      if (!members.empty()) return false;
+      if (!state.members.empty()) return false;
       continue;
     }
-    if (it->second != members) return false;
+    if (it->second != state.members) return false;
     truth.erase(it);
   }
   for (const auto& [vlan, members] : truth)
@@ -164,7 +164,7 @@ bool Fabric::vlan_index_consistent() const {
 }
 
 void Fabric::index_add(util::VlanId vlan, util::AdapterId id) {
-  auto& members = vlan_index_[vlan];
+  auto& members = vlans_[vlan].members;
   auto it = std::lower_bound(members.begin(), members.end(), id);
   GS_CHECK_MSG(it == members.end() || *it != id,
                "adapter already indexed in vlan");
@@ -172,9 +172,9 @@ void Fabric::index_add(util::VlanId vlan, util::AdapterId id) {
 }
 
 void Fabric::index_remove(util::VlanId vlan, util::AdapterId id) {
-  auto map_it = vlan_index_.find(vlan);
-  GS_CHECK(map_it != vlan_index_.end());
-  auto& members = map_it->second;
+  auto map_it = vlans_.find(vlan);
+  GS_CHECK(map_it != vlans_.end());
+  auto& members = map_it->second.members;
   auto it = std::lower_bound(members.begin(), members.end(), id);
   GS_CHECK_MSG(it != members.end() && *it == id, "adapter not indexed in vlan");
   members.erase(it);
@@ -187,8 +187,10 @@ bool Fabric::reachable(util::AdapterId from, util::AdapterId to) const {
   if (!src.can_send() || !dst.can_recv()) return false;
   const util::VlanId vlan = vlan_of(from);
   if (!vlan.valid() || vlan_of(to) != vlan) return false;
-  auto it = segments_.find(vlan);
-  if (it != segments_.end() && !it->second.connected(from, to)) return false;
+  auto it = vlans_.find(vlan);
+  if (it != vlans_.end() && it->second.segment &&
+      !it->second.segment->connected(from, to))
+    return false;
   return true;
 }
 
@@ -221,6 +223,16 @@ std::uint16_t Fabric::peek_frame_type(
   // Frame layout: type lives at offset 6..7 (see wire/frame.h).
   if (bytes.size() < 8) return 0xFFFF;
   return static_cast<std::uint16_t>(bytes[6] | (bytes[7] << 8));
+}
+
+SegmentLoad& Fabric::account_sent(VlanState& state, const Payload& payload) {
+  SegmentLoad& load = load_of(state);
+  load.frames_sent++;
+  load.bytes_sent += payload.size();
+  total_frames_sent_++;
+  total_bytes_sent_ += payload.size();
+  frames_by_type_[peek_frame_type(payload.bytes())]++;
+  return load;
 }
 
 std::uint32_t Fabric::park_frame(Datagram dgram, SegmentLoad& load) {
@@ -364,14 +376,9 @@ bool Fabric::send(util::AdapterId from, util::IpAddress dst, Payload payload) {
   const util::VlanId vlan = vlan_of(from);
   if (!src.can_send() || !vlan.valid()) return false;
 
-  SegmentLoad& load = loads_[vlan];
-  load.frames_sent++;
-  load.bytes_sent += payload.size();
-  total_frames_sent_++;
-  total_bytes_sent_ += payload.size();
-  frames_by_type_[peek_frame_type(payload.bytes())]++;
-
-  Segment& seg = segment(vlan);
+  VlanState& state = vlans_[vlan];
+  SegmentLoad& load = account_sent(state, payload);
+  Segment& seg = segment_of(vlan, state);
   const auto target = find_by_ip(vlan, dst);
   if (!target || *target == from || !seg.connected(from, *target) ||
       !adapter(*target).can_recv()) {
@@ -418,14 +425,10 @@ bool Fabric::multicast(util::AdapterId from, util::IpAddress group,
   const util::VlanId vlan = vlan_of(from);
   if (!src.can_send() || !vlan.valid()) return false;
 
-  SegmentLoad& load = loads_[vlan];
-  load.frames_sent++;  // broadcast medium: one frame on the wire
-  load.bytes_sent += payload.size();
-  total_frames_sent_++;
-  total_bytes_sent_ += payload.size();
-  frames_by_type_[peek_frame_type(payload.bytes())]++;
-
-  Segment& seg = segment(vlan);
+  VlanState& state = vlans_[vlan];
+  // Broadcast medium: one frame on the wire whatever the fan-out.
+  SegmentLoad& load = account_sent(state, payload);
+  Segment& seg = segment_of(vlan, state);
   // The frame is parked once — one payload allocation, one pool slot — and
   // every scheduled delivery shares it by slot reference.
   const std::uint32_t slot = park_frame(
@@ -439,7 +442,7 @@ bool Fabric::multicast(util::AdapterId from, util::IpAddress group,
   // frame cannot reach (dead switch, partition, dead adapter) count as
   // unreachable, exactly as the unicast path counts them; only members
   // rewired to another VLAN are out of scope entirely.
-  for (util::AdapterId id : vlan_members(vlan)) {
+  for (util::AdapterId id : state.members) {
     if (id == from) continue;
     const Adapter& a = adapter(id);
     if (a.attached_switch() != cached_sw) {
@@ -482,8 +485,9 @@ bool Fabric::multicast(util::AdapterId from, util::IpAddress group,
 
 void Fabric::deliver_foreign(const ForeignFrame& frame) {
   GS_CHECK(frame.vlan.valid());
-  Segment& seg = segment(frame.vlan);
-  SegmentLoad& load = loads_[frame.vlan];
+  VlanState& state = vlans_[frame.vlan];
+  Segment& seg = segment_of(frame.vlan, state);
+  SegmentLoad& load = load_of(state);
   // Born on this thread: Rep, decode cache, and eventually the free-list
   // slot all stay local. The origin shard counted frames_sent; this side
   // counts per-receiver outcomes, mirroring the local delivery paths.
@@ -520,7 +524,7 @@ void Fabric::deliver_foreign(const ForeignFrame& frame) {
                  load);
   util::SwitchId cached_sw = util::SwitchId::invalid();
   bool cached_sw_failed = false;
-  for (util::AdapterId id : vlan_members(frame.vlan)) {
+  for (util::AdapterId id : state.members) {
     const Adapter& a = adapter(id);
     if (a.attached_switch() != cached_sw) {
       cached_sw = a.attached_switch();
@@ -607,12 +611,14 @@ void Fabric::set_port_vlan(util::SwitchId sw, util::PortId port,
   (void)segment(vlan);  // ensure the segment exists
 }
 
-const SegmentLoad& Fabric::load(util::VlanId vlan) { return loads_[vlan]; }
+const SegmentLoad& Fabric::load(util::VlanId vlan) {
+  return load_of(vlans_[vlan]);
+}
 
 void Fabric::reset_load_accounting() {
   // Zero in place: erasing the keys would silence kWireSample publication
   // for quiet VLANs and dangle load() references taken before the reset.
-  for (auto& [vlan, load] : loads_) load = SegmentLoad{};
+  for (auto& [vlan, state] : vlans_) state.load = SegmentLoad{};
   frames_by_type_.clear();
   total_frames_sent_ = 0;
   total_bytes_sent_ = 0;
@@ -629,7 +635,9 @@ void Fabric::enable_load_sampling(sim::SimDuration period) {
 void Fabric::sample_loads() {
   if (trace_ != nullptr &&
       trace_->wants_kind(obs::TraceKind::kWireSample)) {
-    for (const auto& [vlan, load] : loads_) {
+    for (const auto& [vlan, state] : vlans_) {
+      if (!state.has_load) continue;
+      const SegmentLoad& load = state.load;
       obs::TraceRecord record;
       record.kind = obs::TraceKind::kWireSample;
       record.severity = obs::Severity::kDebug;

@@ -221,7 +221,7 @@ class Fabric {
   // recycled when it reaches zero.
   struct PendingFrame {
     Datagram dgram;
-    // The frame's VLAN accounting row, resolved once at park time: loads_
+    // The frame's VLAN accounting row, resolved once at park time: vlans_
     // nodes are stable (reset zeroes in place, never erases), so deliveries
     // skip the per-receiver map lookup.
     SegmentLoad* load = nullptr;
@@ -251,6 +251,29 @@ class Fabric {
   void index_add(util::VlanId vlan, util::AdapterId id);
   void index_remove(util::VlanId vlan, util::AdapterId id);
 
+  // Everything the fabric keeps per VLAN, in one record so the traffic
+  // paths resolve a frame's VLAN with a single map walk. The parts
+  // materialize lazily and independently: the segment on first use (it
+  // snapshots default_channel_ then), the load row on first traffic or
+  // load() call, and sample_loads() publishes only VLANs that have one.
+  struct VlanState {
+    std::optional<Segment> segment;
+    // Adapters wired into the VLAN (port configuration, not liveness), kept
+    // sorted by id so multicast delivery order matches the old whole-farm
+    // scan and seed traces stay bit-identical.
+    std::vector<util::AdapterId> members;
+    SegmentLoad load;
+    bool has_load = false;
+  };
+  Segment& segment_of(util::VlanId vlan, VlanState& state);
+  // Counts one frame onto the VLAN's wire (per VLAN, in total and per
+  // frame type) and returns the VLAN's load row.
+  SegmentLoad& account_sent(VlanState& state, const Payload& payload);
+  static SegmentLoad& load_of(VlanState& state) {
+    state.has_load = true;
+    return state.load;
+  }
+
   sim::Simulator& sim_;
   util::Rng rng_;
   ChannelModel default_channel_;
@@ -261,12 +284,10 @@ class Fabric {
   // duplicates are representable because misconfiguration is a scenario
   // the verifier must be able to express).
   std::unordered_map<std::uint32_t, std::vector<util::AdapterId>> by_ip_;
-  std::map<util::VlanId, Segment> segments_;
-  // vlan -> adapters wired into it (port configuration, not liveness),
-  // each vector kept sorted by id so multicast delivery order matches the
-  // old whole-farm scan and seed traces stay bit-identical.
-  std::map<util::VlanId, std::vector<util::AdapterId>> vlan_index_;
-  std::map<util::VlanId, SegmentLoad> loads_;
+  // Ordered: sample_loads() and indexed_vlans() walk VLANs ascending (trace
+  // digests depend on it), and nodes stay put for PendingFrame::load. Keyed
+  // rather than dense because scripts may name any VLAN id.
+  std::map<util::VlanId, VlanState> vlans_;
   std::map<std::uint16_t, std::uint64_t> frames_by_type_;
   std::uint64_t total_frames_sent_ = 0;
   std::uint64_t total_bytes_sent_ = 0;

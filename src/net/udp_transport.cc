@@ -10,6 +10,7 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <span>
 
 #include "util/check.h"
 #include "util/logging.h"
@@ -268,13 +269,11 @@ bool UdpTransport::multicast(std::size_t port, util::IpAddress group,
 
 void UdpTransport::on_readable(std::size_t index) {
   Sock& sock = socks_[index];
-  std::vector<std::uint8_t> buf;
   while (sock.fd >= 0) {
-    buf.resize(64 * 1024);
     sockaddr_in src{};
     socklen_t src_len = sizeof(src);
     const ssize_t n =
-        ::recvfrom(sock.fd, buf.data(), buf.size(), 0,
+        ::recvfrom(sock.fd, recv_buf_.get(), kRecvBufferSize, 0,
                    reinterpret_cast<sockaddr*>(&src), &src_len);
     if (n < 0) {
       if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
@@ -290,13 +289,15 @@ void UdpTransport::on_readable(std::size_t index) {
     ++stats_.frames_received;
     if (sock.handler == nullptr) continue;  // daemon not started yet
 
-    buf.resize(static_cast<std::size_t>(n));
     Datagram dgram;
     dgram.src = *src_ip;
     dgram.dst = sock.spec.ip;
     dgram.vlan = sock.spec.vlan;
-    dgram.payload = Payload::wrap(std::move(buf));
-    buf = std::vector<std::uint8_t>();
+    // Copied out before the handler runs, so the buffer is free for the
+    // next read; small frames land in a pooled inline payload.
+    dgram.payload = Payload::copy_of(
+        std::span<const std::uint8_t>(recv_buf_.get(),
+                                      static_cast<std::size_t>(n)));
     // The handler may halt the daemon or close this transport mid-loop;
     // the `sock.fd >= 0` guard re-checks before the next recvfrom.
     sock.handler(dgram);

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -162,6 +163,13 @@ class UdpTransport final : public Transport {
   EventLoop& loop_;
   UdpPortMap& map_;
   std::vector<Sock> socks_;
+  // One receive buffer for every read on this transport (a datagram is
+  // copied out of it before its handler runs), sized for the largest UDP
+  // payload. Left uninitialized: a read writes what it returns, and pages
+  // no read has reached cost neither set-up time nor resident memory.
+  static constexpr std::size_t kRecvBufferSize = 64 * 1024;
+  std::unique_ptr<std::uint8_t[]> recv_buf_ =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kRecvBufferSize);
   Stats stats_;
   bool closed_ = false;
 };

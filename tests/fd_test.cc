@@ -4,6 +4,7 @@
 // replies and records suspicions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -319,6 +320,110 @@ TEST(RingFd, SingletonIsQuiet) {
   sim.run_until(sim::seconds(5));
   EXPECT_EQ(harness.frames_sent(), before);
   EXPECT_EQ(harness.total_suspicions(), 0u);
+}
+
+// One detector on its own, every outgoing frame captured with its send time
+// (no router, so the payload objects themselves are observable).
+struct SentFrame {
+  sim::SimTime at;
+  util::IpAddress to;
+  net::Payload frame;
+};
+
+class StandaloneFd {
+ public:
+  StandaloneFd(sim::Simulator& sim, FdKind kind, int n, std::uint8_t self)
+      : params_(fd_params()) {
+    std::vector<MemberInfo> members;
+    for (int i = 1; i <= n; ++i)
+      members.push_back(member(static_cast<std::uint8_t>(i)));
+    view_ = MembershipView::make(1, members);
+    FdContext ctx;
+    ctx.sim = &sim;
+    ctx.params = &params_;
+    ctx.self = member(self).ip;
+    ctx.rng = util::Rng(self);
+    ctx.send = [this, &sim](util::IpAddress to, net::Payload frame) {
+      sent_.push_back(SentFrame{sim.now(), to, std::move(frame)});
+    };
+    ctx.suspect = [](util::IpAddress) {};
+    ctx.encode_scratch = &scratch_;
+    fd_ = make_failure_detector(kind, std::move(ctx));
+    fd_->start(view_);
+  }
+
+  [[nodiscard]] FailureDetector& fd() { return *fd_; }
+  [[nodiscard]] const Params& params() const { return params_; }
+  [[nodiscard]] const std::vector<SentFrame>& sent() const { return sent_; }
+
+ private:
+  Params params_;
+  MembershipView view_;
+  wire::Writer scratch_;
+  std::vector<SentFrame> sent_;
+  std::unique_ptr<FailureDetector> fd_;
+};
+
+TEST(RingFd, BiRingSendsOnePayloadToBothNeighboursPerPeriod) {
+  sim::Simulator sim;
+  StandaloneFd host(sim, FdKind::kBidirectionalRing, 5, 3);
+  const sim::SimDuration period = host.params().hb_period;
+  // The first send lands in [0, period), so ten periods hold ten rounds.
+  sim.run_until(10 * period - 1);
+  const auto& sent = host.sent();
+  ASSERT_EQ(sent.size(), 20u);
+  for (std::size_t i = 0; i < sent.size(); i += 2) {
+    const SentFrame& a = sent[i];
+    const SentFrame& b = sent[i + 1];
+    EXPECT_EQ(a.at, b.at);
+    // Ring {5,4,3,2,1}: 3 heartbeats its right (2) and left (4) neighbours.
+    EXPECT_EQ(a.to, member(2).ip);
+    EXPECT_EQ(b.to, member(4).ip);
+    EXPECT_TRUE(std::ranges::equal(a.frame.bytes(), b.frame.bytes()));
+    // Framed once: both sends share one payload (and its decode cache).
+    EXPECT_EQ(a.frame.data(), b.frame.data());
+    auto decoded = wire::decode_frame(a.frame.bytes());
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_EQ(static_cast<MsgType>(decoded.frame.type), MsgType::kHeartbeat);
+    const auto hb = decode_Heartbeat(decoded.frame.payload);
+    ASSERT_TRUE(hb.has_value());
+    EXPECT_EQ(hb->view, 1u);
+    EXPECT_EQ(hb->seq, i / 2 + 1);
+    if (i > 0) {
+      EXPECT_EQ(a.at - sent[i - 2].at, period);
+    }
+  }
+}
+
+TEST(RingFd, BiRingPairSendsOneFramePerPeriod) {
+  // In a 2-member view left == right: one target, one frame per period.
+  sim::Simulator sim;
+  StandaloneFd host(sim, FdKind::kBidirectionalRing, 2, 1);
+  sim.run_until(10 * host.params().hb_period - 1);
+  ASSERT_EQ(host.sent().size(), 10u);
+  for (const SentFrame& f : host.sent()) EXPECT_EQ(f.to, member(2).ip);
+}
+
+TEST(RingFd, OnHeartbeatConsumesOnlyMonitoredPeersInItsView) {
+  sim::Simulator sim;
+  StandaloneFd host(sim, FdKind::kBidirectionalRing, 5, 3);
+  Heartbeat hb{};
+  hb.view = 1;
+  hb.seq = 1;
+  EXPECT_TRUE(host.fd().on_heartbeat(member(2).ip, hb));   // right neighbour
+  EXPECT_TRUE(host.fd().on_heartbeat(member(4).ip, hb));   // left neighbour
+  EXPECT_FALSE(host.fd().on_heartbeat(member(5).ip, hb));  // member, not
+                                                           // monitored
+  EXPECT_FALSE(host.fd().on_heartbeat(member(9).ip, hb));  // not in the view
+  hb.view = 2;
+  EXPECT_FALSE(host.fd().on_heartbeat(member(4).ip, hb));  // other view
+  hb.view = 1;
+  host.fd().stop();
+  EXPECT_FALSE(host.fd().on_heartbeat(member(4).ip, hb));  // stopped
+
+  // The randomized pinger has no heartbeat duty and consumes none.
+  StandaloneFd pinger(sim, FdKind::kRandomPing, 5, 3);
+  EXPECT_FALSE(pinger.fd().on_heartbeat(member(4).ip, hb));
 }
 
 // --- Consensus hints ------------------------------------------------------------------

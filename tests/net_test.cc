@@ -328,6 +328,70 @@ TEST_F(FabricTest, LoadSamplingPublishesQuietVlansAfterReset) {
   EXPECT_EQ(last.a, 0u);  // frames_sent zeroed in place
 }
 
+TEST_F(FabricTest, LoadSamplingWalksVlansAscendingOnlyOnceTheyHaveALoadRow) {
+  // Wired in non-ascending order; VLAN 7 is wired but carries no traffic.
+  std::vector<util::AdapterId> senders;
+  std::uint8_t host = 1;
+  for (std::uint32_t v : {105u, 1u, 7u, 100u}) {
+    senders.push_back(make(util::NodeId(host), util::VlanId(v),
+                           util::IpAddress(10, 0, 0, host)));
+    ++host;
+    make(util::NodeId(host), util::VlanId(v), util::IpAddress(10, 0, 0, host));
+    ++host;
+  }
+  EXPECT_EQ(fabric_.indexed_vlans(),
+            (std::vector<util::VlanId>{util::VlanId(1), util::VlanId(7),
+                                       util::VlanId(100), util::VlanId(105)}));
+  obs::TraceBus bus;
+  obs::Recorder<obs::TraceRecord> samples(
+      bus, obs::trace_mask({obs::TraceKind::kWireSample}));
+  fabric_.set_trace(&bus);
+  fabric_.enable_load_sampling(sim::milliseconds(10));
+  for (std::size_t i : {0u, 1u, 3u})
+    fabric_.multicast(senders[i], kBeaconGroup, test_frame());
+
+  auto sampled_vlans = [&] {
+    std::vector<util::VlanId> out;
+    for (const obs::TraceRecord& r : samples.records()) out.push_back(r.vlan);
+    return out;
+  };
+  sim_.run_until(sim::milliseconds(10));
+  EXPECT_EQ(sampled_vlans(),
+            (std::vector<util::VlanId>{util::VlanId(1), util::VlanId(100),
+                                       util::VlanId(105)}));
+
+  // Reading a quiet VLAN's load row creates it; sampling then includes it.
+  EXPECT_EQ(fabric_.load(util::VlanId(7)).frames_sent, 0u);
+  samples.clear();
+  sim_.run_until(sim::milliseconds(20));
+  EXPECT_EQ(sampled_vlans(),
+            (std::vector<util::VlanId>{util::VlanId(1), util::VlanId(7),
+                                       util::VlanId(100), util::VlanId(105)}));
+}
+
+TEST_F(FabricTest, SegmentKeepsTheDefaultChannelOfItsFirstUse) {
+  auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
+  auto b = make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));
+  ChannelModel slow;
+  slow.base_latency = sim::microseconds(500);
+  slow.jitter = 0;
+  fabric_.set_default_channel(slow);  // only VLANs first used from now on
+  auto c = make(util::NodeId(2), util::VlanId(2), util::IpAddress(10, 0, 0, 3));
+  auto d = make(util::NodeId(3), util::VlanId(2), util::IpAddress(10, 0, 0, 4));
+
+  sim::SimTime got_fast = -1;
+  sim::SimTime got_slow = -1;
+  fabric_.adapter(b).set_receive_handler(
+      [&](const Datagram&) { got_fast = sim_.now(); });
+  fabric_.adapter(d).set_receive_handler(
+      [&](const Datagram&) { got_slow = sim_.now(); });
+  fabric_.send(a, util::IpAddress(10, 0, 0, 2), test_frame());
+  fabric_.send(c, util::IpAddress(10, 0, 0, 4), test_frame());
+  sim_.run();
+  EXPECT_EQ(got_fast, sim::microseconds(100));
+  EXPECT_EQ(got_slow, sim::microseconds(500));
+}
+
 TEST_F(FabricTest, FindByIpDuplicateResolvesToLowestAdapterId) {
   // Duplicate IPs are a misconfiguration the verifier must express; the
   // resolution order must not depend on assignment order or replays drift.

@@ -73,9 +73,9 @@ class ProtocolUnit : public ::testing::Test {
 
   // Injects a message as if received from `src`.
   template <typename T>
-  void inject(util::IpAddress src, const T& msg) {
+  HandleResult inject(util::IpAddress src, const T& msg) {
     const auto payload = encode(msg);
-    proto_->handle_frame(src, T::kType, payload);
+    return proto_->handle_frame(src, T::kType, payload);
   }
 
   // First captured frame of the given type sent to `to`; consumes nothing.
@@ -118,6 +118,23 @@ class ProtocolUnit : public ::testing::Test {
     ASSERT_TRUE(proto_->is_committed());
     ASSERT_TRUE(proto_->is_leader());
     ASSERT_EQ(proto_->committed().size(), 3u);
+    sent_.clear();
+  }
+
+  // Commits 5 as a plain member of the view-7 ring {9, 7, 5, 3} with a
+  // running 100 ms heartbeat detector: 7 and 3 are its monitored ring
+  // neighbours, 9 (the leader) is committed but not a neighbour.
+  void join_ring_as_member() {
+    params_.hb_period = sim::milliseconds(100);
+    make_protocol(5);
+    proto_->start();
+    Commit commit{};
+    commit.view = 7;
+    commit.members = {member(9), member(7), member(5), member(3)};
+    inject(ip(9), commit);
+    ASSERT_EQ(proto_->state(), AdapterState::kMember);
+    ASSERT_EQ(proto_->committed().left_of(ip(5)), ip(7));
+    ASSERT_EQ(proto_->committed().right_of(ip(5)), ip(3));
     sent_.clear();
   }
 
@@ -630,6 +647,78 @@ TEST_F(ProtocolUnit, StaleNoticeMapPrunedWhenPeerJoins) {
   inject(ip(7), ack);
   ASSERT_TRUE(proto_->committed().contains(ip(7)));
   EXPECT_EQ(proto_->stale_notice_entries(), 0u);
+}
+
+// --- Heartbeat dispatch ----------------------------------------------------------
+
+TEST_F(ProtocolUnit, HeartbeatFromMonitoredNeighbourRearmsItsDeadline) {
+  join_ring_as_member();
+  // One second (four deadlines of 2.5 periods) in which only the left
+  // neighbour (7) heartbeats: its deadline keeps moving, the silent right
+  // neighbour's expires.
+  Heartbeat hb{};
+  hb.view = 7;
+  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
+    hb.seq = seq;
+    EXPECT_EQ(inject(ip(7), hb), HandleResult::kHandled);
+    sim_.run_until(sim_.now() + params_.hb_period);
+  }
+  std::map<util::IpAddress, std::size_t> suspects;
+  for (const SentFrame& f : sent_)
+    if (f.type == MsgType::kSuspect)
+      ++suspects[decode_Suspect(f.payload)->suspect];
+  EXPECT_GE(suspects[ip(3)], 1u);
+  EXPECT_EQ(suspects[ip(7)], 0u);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 0u);
+}
+
+TEST_F(ProtocolUnit, HeartbeatFromCommittedNonNeighbourIsHandledQuietly) {
+  join_ring_as_member();
+  Heartbeat hb{};
+  hb.view = 7;
+  hb.seq = 1;
+  EXPECT_EQ(inject(ip(9), hb), HandleResult::kHandled);
+  // A stale view from a committed member is not a stale member either.
+  hb.view = 6;
+  EXPECT_EQ(inject(ip(9), hb), HandleResult::kHandled);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 0u);
+  EXPECT_EQ(proto_->stale_notice_entries(), 0u);
+  EXPECT_EQ(proto_->state(), AdapterState::kMember);
+}
+
+TEST_F(ProtocolUnit, HeartbeatFromNonMemberGetsOneStaleNoticePerWindow) {
+  join_ring_as_member();
+  sim_.run_until(sim_.now() + sim::milliseconds(10));  // now() != 0
+  Heartbeat hb{};
+  hb.view = 7;  // equal views count as stale (different incarnations)
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    hb.seq = seq;
+    EXPECT_EQ(inject(ip(8), hb), HandleResult::kHandled);
+  }
+  ASSERT_EQ(count_sent(MsgType::kStaleNotice), 1u);
+  EXPECT_EQ(find_sent(MsgType::kStaleNotice)->to, ip(8));
+  EXPECT_EQ(decode_StaleNotice(find_sent(MsgType::kStaleNotice)->payload)
+                ->current_view,
+            7u);
+
+  // Still inside the one-second window: rate-limited.
+  sim_.run_until(sim_.now() + sim::milliseconds(900));
+  hb.view = 3;
+  inject(ip(8), hb);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 1u);
+
+  // The window has passed: exactly one more.
+  sim_.run_until(sim_.now() + sim::milliseconds(200));
+  inject(ip(8), hb);
+  inject(ip(8), hb);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 2u);
+  EXPECT_EQ(proto_->stats().stale_notices_sent, 2u);
+
+  // A newer view is not stale traffic: no notice.
+  sim_.run_until(sim_.now() + sim::seconds(2));
+  hb.view = 8;
+  inject(ip(8), hb);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 2u);
 }
 
 TEST_F(ProtocolUnit, ProbeAckStatesWhetherResponderLeadsProber) {

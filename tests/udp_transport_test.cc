@@ -1,9 +1,16 @@
 // UdpTransport backend tests: the VLAN -> loopback-port mapping, framed
 // round-trips over real sockets (unicast and the multicast fan-out), the
-// close() lifecycle, and CRC-failure drop accounting through an actual
-// GsDaemon running over UDP.
+// receive path (burst copies, datagrams from foreign ports), the close()
+// lifecycle, and CRC-failure drop accounting through an actual GsDaemon
+// running over UDP.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <vector>
 
 #include "gs/daemon.h"
@@ -63,9 +70,9 @@ TEST(UdpPortMapTest, PortSpaceExhaustionAbortsInsteadOfWrapping) {
 // bind one UDP port, and the transport accepts any loopback datagram whose
 // source port its map resolves — so two cases sharing a range receive each
 // other's frames. Socket-binding ranges across the suite:
-//   48100-48299  UdpTransportTest: one 40-port block per case, VLAN stride
+//   48100-48379  UdpTransportTest: one 40-port block per case, VLAN stride
 //                16 (two VLANs at most)
-//   48300-48399  ShutdownOrderingTest (realtime_test.cc)
+//   48400-48499  ShutdownOrderingTest (realtime_test.cc)
 // All clear of the examples (47000+) and farm_e2e's real_udp (29000+).
 enum class Block : std::uint16_t {
   kUnicast,
@@ -73,6 +80,8 @@ enum class Block : std::uint16_t {
   kUnknownDestination,
   kClose,
   kCorruptFrame,
+  kReceiveBurst,
+  kUnknownSource,
 };
 
 struct Harness {
@@ -221,6 +230,82 @@ TEST(UdpTransportTest, CorruptFrameIsDroppedAndAccountedByTheDaemon) {
                 proto::MsgType::kBeacon)],
             1u);
   EXPECT_EQ(receiver->stats().frames_received, 2u);
+}
+
+TEST(UdpTransportTest, ReceiveBurstArrivesByteExactWithoutAliasing) {
+  // Every datagram of a burst is drained through the transport's one reused
+  // receive buffer; each delivered payload must be its own copy, so frames
+  // held past the next read keep their bytes. One frame spills past the
+  // pooled inline capacity.
+  Harness h(Block::kReceiveBurst);
+  UdpTransport a(h.loop, h.map, {spec(1, 1)});
+  UdpTransport b(h.loop, h.map, {spec(2, 1)});
+
+  std::vector<Datagram> got;
+  b.set_receive_handler(0, [&](const Datagram& d) { got.push_back(d); });
+
+  const std::vector<std::size_t> sizes = {
+      1, 16, Payload::kInlineCapacity, Payload::kInlineCapacity + 1, 4000, 7};
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    std::vector<std::uint8_t> bytes(sizes[i]);
+    for (std::size_t j = 0; j < bytes.size(); ++j)
+      bytes[j] = static_cast<std::uint8_t>(i * 37 + j);
+    ASSERT_TRUE(a.unicast(0, ip(2), Payload::copy_of(bytes)));
+    sent.push_back(std::move(bytes));
+  }
+  ASSERT_TRUE(h.pump([&] { return got.size() == sent.size(); }));
+  ASSERT_EQ(b.stats().frames_received, sent.size());
+
+  // Matched by size (all distinct) rather than arrival order.
+  for (const std::vector<std::uint8_t>& want : sent) {
+    const auto it = std::find_if(got.begin(), got.end(), [&](const Datagram& d) {
+      return d.payload.size() == want.size();
+    });
+    ASSERT_NE(it, got.end()) << "no datagram of " << want.size() << " bytes";
+    const auto bytes = it->payload.bytes();
+    EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), want);
+    EXPECT_EQ(it->src, ip(1));
+  }
+  for (std::size_t i = 0; i < got.size(); ++i)
+    for (std::size_t j = i + 1; j < got.size(); ++j)
+      EXPECT_NE(got[i].payload.data(), got[j].payload.data());
+}
+
+TEST(UdpTransportTest, DatagramFromUnregisteredPortIsDroppedAndCounted) {
+  Harness h(Block::kUnknownSource);
+  UdpTransport a(h.loop, h.map, {spec(1, 1)});
+  UdpTransport b(h.loop, h.map, {spec(2, 1)});
+  std::vector<Datagram> got;
+  b.set_receive_handler(0, [&](const Datagram& d) { got.push_back(d); });
+
+  // A stranger: a socket on a kernel-assigned port the map never issued.
+  const int stranger = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(stranger, 0);
+  sockaddr_in any{};
+  any.sin_family = AF_INET;
+  any.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(stranger, reinterpret_cast<const sockaddr*>(&any),
+                   sizeof(any)),
+            0);
+  sockaddr_in dst = any;
+  dst.sin_port = htons(b.udp_port(0));
+  const std::vector<std::uint8_t> junk = {0x01, 0x02, 0x03};
+  ASSERT_EQ(::sendto(stranger, junk.data(), junk.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&dst), sizeof(dst)),
+            static_cast<ssize_t>(junk.size()));
+  ::close(stranger);
+
+  // A farm member's frame behind it shows the drop did not stall the socket.
+  const std::vector<std::uint8_t> good = {0xaa, 0xbb};
+  ASSERT_TRUE(a.unicast(0, ip(2), Payload::copy_of(good)));
+  ASSERT_TRUE(h.pump([&] { return !got.empty(); }));
+
+  EXPECT_EQ(b.stats().recv_unknown, 1u);
+  EXPECT_EQ(b.stats().frames_received, 1u);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].src, ip(1));
+  EXPECT_EQ(got[0].payload.size(), good.size());
 }
 
 }  // namespace

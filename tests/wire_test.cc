@@ -137,6 +137,20 @@ TEST(Checksum, KnownVector) {
   EXPECT_EQ(crc32c(data), 0xE3069283u);
 }
 
+TEST(Checksum, Rfc3720Vectors) {
+  // iSCSI (RFC 3720 B.4) 32-byte vectors: long enough for the word loop.
+  std::vector<std::uint8_t> data(32, 0x00);
+  EXPECT_EQ(crc32c(data), 0x8A9136AAu);
+  std::fill(data.begin(), data.end(), std::uint8_t{0xFF});
+  EXPECT_EQ(crc32c(data), 0x62A8AB43u);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(crc32c(data), 0x46DD794Eu);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(31 - i);
+  EXPECT_EQ(crc32c(data), 0x113FDB5Cu);
+}
+
 TEST(Checksum, EmptyInput) {
   EXPECT_EQ(crc32c({}), 0u);
 }
@@ -156,6 +170,62 @@ TEST(Checksum, SensitiveToSingleBit) {
   const std::uint32_t before = crc32c(data);
   data[2] ^= 0x10;
   EXPECT_NE(crc32c(data), before);
+}
+
+// Bit-at-a-time CRC-32C straight from the definition (reflected polynomial
+// 0x82F63B78), independent of any lookup table.
+std::uint32_t bitwise_crc32c_update(std::uint32_t state,
+                                    std::span<const std::uint8_t> data) {
+  for (std::uint8_t byte : data) {
+    state ^= byte;
+    for (int bit = 0; bit < 8; ++bit)
+      state = (state >> 1) ^ ((state & 1u) ? 0x82F63B78u : 0u);
+  }
+  return state;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+TEST(Checksum, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-300 cover every word-loop count and tail length; start offsets
+  // 0-7 put the 8-byte words at every alignment.
+  const std::vector<std::uint8_t> buf = random_bytes(300 + 8, 41);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto data = std::span(buf).subspan(offset, len);
+      const std::uint32_t want = bitwise_crc32c_update(0xFFFFFFFFu, data);
+      ASSERT_EQ(crc32c_update(crc32c_init(), data), want)
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32c(data), want ^ 0xFFFFFFFFu)
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Checksum, ChunkedUpdateMatchesOneShotAtEverySplit) {
+  const std::vector<std::uint8_t> data = random_bytes(257, 42);
+  const std::uint32_t whole = crc32c(data);
+  ASSERT_EQ(whole,
+            bitwise_crc32c_update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    std::uint32_t state = crc32c_init();
+    state = crc32c_update(state, std::span(data).first(split));
+    state = crc32c_update(state, std::span(data).subspan(split));
+    ASSERT_EQ(crc32c_finish(state), whole) << "split " << split;
+  }
+  // Many small uneven chunks: the state must carry across word boundaries.
+  for (std::size_t step = 1; step <= 9; ++step) {
+    std::uint32_t state = crc32c_init();
+    for (std::size_t at = 0; at < data.size(); at += step)
+      state = crc32c_update(
+          state, std::span(data).subspan(at, std::min(step, data.size() - at)));
+    ASSERT_EQ(crc32c_finish(state), whole) << "step " << step;
+  }
 }
 
 // --- Frames -------------------------------------------------------------------------
