@@ -252,10 +252,12 @@ void AdapterProtocol::handle_prepare(util::IpAddress src, const Prepare& msg) {
     nack(pending_prepare_->view);
     return;
   }
-  const bool includes_self =
-      std::any_of(msg.members.begin(), msg.members.end(),
-                  [&](const MemberInfo& m) { return m.ip == self_ip(); });
-  if (!includes_self || msg.leader != src) {
+  if (msg.leader != src) {
+    nack(0);
+    return;
+  }
+  MembershipView membership = MembershipView::make(msg.view, msg.members);
+  if (!membership.contains(self_ip())) {
     nack(0);
     return;
   }
@@ -263,7 +265,7 @@ void AdapterProtocol::handle_prepare(util::IpAddress src, const Prepare& msg) {
   PendingPrepare pending;
   pending.view = msg.view;
   pending.coordinator = src;
-  pending.membership = MembershipView::make(msg.view, msg.members);
+  pending.membership = std::move(membership);
   if (pending_prepare_) pending_prepare_->expiry.cancel();
   pending_prepare_ = std::move(pending);
   // Hold the prepared state past the coordinator's worst case: it may ride
@@ -402,20 +404,24 @@ void AdapterProtocol::propose() {
   }
   if (state_ != AdapterState::kLeader) return;
 
-  std::map<util::IpAddress, MemberInfo> members;
-  for (const MemberInfo& m : committed_.members()) members[m.ip] = m;
-  for (const auto& [ip, reason] : pending_removes_) {
-    if (ip == self_ip()) continue;
-    members.erase(ip);
-  }
-  for (const auto& [ip, info] : pending_adds_) members[ip] = info;
-  members[self_ip()] = self_;
+  // Candidates in precedence order — self, the pending adds, then the
+  // committed members not pending removal — since make() keeps the first
+  // entry per IP.
+  std::vector<MemberInfo> list;
+  list.reserve(1 + pending_adds_.size() + committed_.size());
+  list.push_back(self_);
+  for (const auto& [ip, info] : pending_adds_) list.push_back(info);
+  for (const MemberInfo& m : committed_.members())
+    if (!pending_removes_.count(m.ip)) list.push_back(m);
+  MembershipView proposed = MembershipView::make(clock_ + 1, std::move(list));
 
-  std::set<util::IpAddress> new_ips;
-  for (const auto& [ip, info] : members) new_ips.insert(ip);
-  std::set<util::IpAddress> old_ips;
-  for (const MemberInfo& m : committed_.members()) old_ips.insert(m.ip);
-  if (!force_recommit_ && !committed_.empty() && new_ips == old_ips) {
+  const auto same_ip = [](const MemberInfo& a, const MemberInfo& b) {
+    return a.ip == b.ip;
+  };
+  if (!force_recommit_ && !committed_.empty() &&
+      std::equal(proposed.members().begin(), proposed.members().end(),
+                 committed_.members().begin(), committed_.members().end(),
+                 same_ip)) {
     pending_adds_.clear();
     pending_removes_.clear();
     return;
@@ -423,50 +429,52 @@ void AdapterProtocol::propose() {
   force_recommit_ = false;
   pending_adds_.clear();
   pending_removes_.clear();
-
-  std::vector<MemberInfo> list;
-  list.reserve(members.size());
-  for (const auto& [ip, info] : members) list.push_back(info);
-
-  const std::uint64_t view = ++clock_;
-  MembershipView proposed = MembershipView::make(view, std::move(list));
+  ++clock_;
   GS_CHECK_MSG(proposed.leader().ip == self_ip(),
                "coordinator must hold the highest IP in its proposal");
 
+  // Every member but self (rank 0) has an ack outstanding.
   Proposal proposal;
-  proposal.view = view;
+  proposal.awaiting.assign(proposed.size(), true);
+  proposal.awaiting[0] = false;
+  proposal.awaiting_count = proposed.size() - 1;
   proposal.membership = std::move(proposed);
-  for (const MemberInfo& m : proposal.membership.members())
-    if (m.ip != self_ip()) proposal.awaiting.insert(m.ip);
 
-  if (proposal.awaiting.empty()) {
+  if (proposal.awaiting_count == 0) {
     install(proposal.membership);
     return;
   }
 
-  Prepare prepare{};
-  prepare.view = proposal.view;
-  prepare.leader = self_ip();
-  prepare.members = proposal.membership.members();
-  const net::Payload frame = framed(prepare);
-  for (util::IpAddress ip : proposal.awaiting) unicast(ip, frame);
-  trace(obs::TraceKind::kTwoPcPrepare, {}, proposal.view,
-        proposal.awaiting.size());
+  send_prepares(proposal);
+  trace(obs::TraceKind::kTwoPcPrepare, {}, proposal.membership.view(),
+        proposal.awaiting_count);
 
   proposal_ = std::move(proposal);
   proposal_->timer =
       sim_.after(params_.twopc_timeout, [this] { twopc_timeout(); });
 }
 
-void AdapterProtocol::reinstate_proposal_state(
-    const MembershipView& aborted, const std::set<util::IpAddress>& drop,
-    RemoveReason drop_reason) {
+void AdapterProtocol::send_prepares(const Proposal& proposal) {
+  Prepare prepare{};
+  prepare.view = proposal.membership.view();
+  prepare.leader = self_ip();
+  prepare.members = proposal.membership.member_list();
+  const net::Payload frame = framed(prepare);
+  // Ascending IP order, i.e. from the highest rank down.
+  for (std::size_t rank = proposal.awaiting.size(); rank-- > 0;)
+    if (proposal.awaiting[rank])
+      unicast(proposal.membership.member_at(rank).ip, frame);
+}
+
+void AdapterProtocol::reinstate_proposal_state(const MembershipView& aborted,
+                                               util::IpAddress drop,
+                                               RemoveReason drop_reason) {
   // Rebuild pending_adds_/pending_removes_ so the next propose() reproduces
   // `aborted` minus `drop`. Crucially, committed members the aborted
   // proposal already excluded (a dead leader, say) must be re-excluded:
   // propose() captured-and-cleared that state when it ran.
   for (const MemberInfo& m : aborted.members()) {
-    if (m.ip == self_ip() || drop.count(m.ip)) continue;
+    if (m.ip == self_ip() || m.ip == drop) continue;
     pending_adds_[m.ip] = m;
   }
   for (const MemberInfo& m : committed_.members()) {
@@ -475,10 +483,9 @@ void AdapterProtocol::reinstate_proposal_state(
     pending_removes_[m.ip] =
         it == departures_.end() ? RemoveReason::kFailed : it->second;
   }
-  for (util::IpAddress ip : drop) {
-    if (!committed_.contains(ip)) continue;
-    pending_removes_[ip] = drop_reason;
-    departures_[ip] = drop_reason;
+  if (committed_.contains(drop)) {
+    pending_removes_[drop] = drop_reason;
+    departures_[drop] = drop_reason;
   }
   force_recommit_ = true;
 }
@@ -487,12 +494,7 @@ void AdapterProtocol::twopc_timeout() {
   if (!proposal_) return;
   if (proposal_->attempt <= params_.twopc_retries) {
     ++proposal_->attempt;
-    Prepare prepare{};
-    prepare.view = proposal_->view;
-    prepare.leader = self_ip();
-    prepare.members = proposal_->membership.members();
-    const net::Payload frame = framed(prepare);
-    for (util::IpAddress ip : proposal_->awaiting) unicast(ip, frame);
+    send_prepares(*proposal_);
     proposal_->timer =
         sim_.after(params_.twopc_timeout, [this] { twopc_timeout(); });
     return;
@@ -504,8 +506,12 @@ void AdapterProtocol::twopc_timeout() {
   // create phantom members (e.g. a moved leader's stale claims). Excluded
   // members that are in fact alive re-enter through discovery and a later,
   // independent recommit.
-  for (util::IpAddress ip : proposal_->awaiting)
-    if (committed_.contains(ip)) departures_[ip] = RemoveReason::kFailed;
+  const MembershipView& proposed = proposal_->membership;
+  for (std::size_t rank = 0; rank < proposed.size(); ++rank) {
+    const util::IpAddress ip = proposed.member_at(rank).ip;
+    if (proposal_->awaiting[rank] && committed_.contains(ip))
+      departures_[ip] = RemoveReason::kFailed;
+  }
   do_commit();
 }
 
@@ -514,42 +520,46 @@ void AdapterProtocol::handle_prepare_ack(util::IpAddress src,
   GS_LOG(kDebug, "2pc") << self_ip() << " got " << (msg.ok ? "ack" : "nack")
                         << " v" << msg.view << " from " << src
                         << (proposal_ ? "" : " (no proposal)");
-  if (!proposal_ || msg.view != proposal_->view) return;
-  if (!proposal_->awaiting.count(src)) return;
+  if (!proposal_ || msg.view != proposal_->membership.view()) return;
+  const auto rank = proposal_->membership.rank_of(src);
+  if (!rank || !proposal_->awaiting[*rank]) return;
 
   if (msg.ok) {
-    proposal_->awaiting.erase(src);
-    if (proposal_->awaiting.empty()) do_commit();
+    proposal_->awaiting[*rank] = false;
+    if (--proposal_->awaiting_count == 0) do_commit();
     return;
   }
 
   // The participant is bound to a competing or newer view: step the clock
   // past it, drop the participant from this membership change, and retry.
   bump_clock(msg.holder_view);
-  trace(obs::TraceKind::kTwoPcAbort, src, proposal_->view, 1);
+  trace(obs::TraceKind::kTwoPcAbort, src, proposal_->membership.view(), 1);
   const MembershipView aborted = std::move(proposal_->membership);
   proposal_->timer.cancel();
   proposal_.reset();
-  reinstate_proposal_state(aborted, {src}, RemoveReason::kLeft);
+  reinstate_proposal_state(aborted, src, RemoveReason::kLeft);
   schedule_change();
 }
 
 void AdapterProtocol::do_commit() {
   GS_CHECK(proposal_.has_value());
-  // Final membership = the acknowledged subset (awaiting still holds the
-  // silent participants; on the all-acked path it is empty).
-  std::vector<MemberInfo> acked;
-  for (const MemberInfo& m : proposal_->membership.members())
-    if (m.ip == self_ip() || !proposal_->awaiting.count(m.ip))
-      acked.push_back(m);
-  MembershipView membership =
-      MembershipView::make(proposal_->view, std::move(acked));
+  // Final membership = the acknowledged subset: on the all-acked path the
+  // proposal itself, otherwise its members minus the silent participants.
+  MembershipView membership = proposal_->membership;
+  if (proposal_->awaiting_count > 0) {
+    std::vector<MemberInfo> acked;
+    acked.reserve(membership.size() - proposal_->awaiting_count);
+    for (std::size_t rank = 0; rank < membership.size(); ++rank)
+      if (!proposal_->awaiting[rank])
+        acked.push_back(membership.member_at(rank));
+    membership = MembershipView::make(membership.view(), std::move(acked));
+  }
   proposal_->timer.cancel();
   proposal_.reset();
 
   Commit commit{};
   commit.view = membership.view();
-  commit.members = membership.members();
+  commit.members = membership.member_list();
   if (util::Logger::instance().enabled(util::LogLevel::kDebug)) {
     util::LogLine line(util::LogLevel::kDebug, "2pc");
     line << self_ip() << " commits v" << commit.view << " members:";
@@ -742,23 +752,23 @@ MembershipReport AdapterProtocol::build_report() {
   rep.full = need_full_;
   need_full_ = false;
 
-  std::set<util::IpAddress> current;
-  for (const MemberInfo& m : committed_.members()) current.insert(m.ip);
-
   if (rep.full) {
     rep.added = committed_.members();
     // A full snapshot still conveys known deaths (e.g. the old leader a
     // takeover removed): GSC would otherwise never hear of them, since a
     // fresh leadership always starts with a full report.
     for (const auto& [ip, reason] : departures_) {
-      if (current.count(ip)) continue;
+      if (committed_.contains(ip)) continue;
       rep.removed.push_back(RemovedMember{ip, reason});
     }
   } else {
     for (const MemberInfo& m : committed_.members())
-      if (!last_acked_membership_.count(m.ip)) rep.added.push_back(m);
-    for (util::IpAddress ip : last_acked_membership_) {
-      if (current.count(ip)) continue;
+      if (!last_acked_membership_.contains(m.ip)) rep.added.push_back(m);
+    // Removals are listed in ascending IP order: the acked view backwards.
+    const std::vector<MemberInfo>& acked = last_acked_membership_.members();
+    for (auto m = acked.rbegin(); m != acked.rend(); ++m) {
+      const util::IpAddress ip = m->ip;
+      if (committed_.contains(ip)) continue;
       RemovedMember removed;
       removed.ip = ip;
       auto it = departures_.find(ip);
@@ -767,7 +777,7 @@ MembershipReport AdapterProtocol::build_report() {
       rep.removed.push_back(removed);
     }
   }
-  pending_snapshot_ = PendingSnapshot{rep.seq, std::move(current)};
+  pending_snapshot_ = PendingSnapshot{rep.seq, committed_};
   return rep;
 }
 
@@ -775,8 +785,9 @@ void AdapterProtocol::report_acked(std::uint64_t seq) {
   if (!pending_snapshot_ || pending_snapshot_->seq != seq) return;
   // Every departure outside the acked snapshot has now been conveyed.
   for (auto it = departures_.begin(); it != departures_.end();)
-    it = pending_snapshot_->membership.count(it->first) ? ++it
-                                                        : departures_.erase(it);
+    it = pending_snapshot_->membership.contains(it->first)
+             ? ++it
+             : departures_.erase(it);
   last_acked_membership_ = std::move(pending_snapshot_->membership);
   pending_snapshot_.reset();
 }
@@ -950,6 +961,11 @@ void AdapterProtocol::reset_to_discovery() {
 // --- Shared helpers ------------------------------------------------------------------
 
 void AdapterProtocol::start_fd() {
+  util::Rng rng = rng_.fork(0xFD + committed_.view());
+  if (fd_ && fd_->kind() == params_.fd_kind) {
+    fd_->restart(committed_, rng);
+    return;
+  }
   stop_fd();
   FdContext ctx;
   ctx.sim = &sim_;
@@ -960,7 +976,7 @@ void AdapterProtocol::start_fd() {
   };
   ctx.suspect = [this](util::IpAddress ip) { raise_suspicion(ip); };
   ctx.loopback_ok = net_.loopback_ok;
-  ctx.rng = rng_.fork(0xFD + committed_.view());
+  ctx.rng = rng;
   ctx.encode_scratch = &scratch_;
   fd_ = make_failure_detector(params_.fd_kind, std::move(ctx));
   fd_->start(committed_);
@@ -988,7 +1004,7 @@ void AdapterProtocol::clear_leader_duty_state() {
     // Leadership ended (demotion, reset, or shutdown) with a round still
     // uncommitted: the proposal dies here, b=2 distinguishes it from a
     // nack abort.
-    trace(obs::TraceKind::kTwoPcAbort, {}, proposal_->view, 2);
+    trace(obs::TraceKind::kTwoPcAbort, {}, proposal_->membership.view(), 2);
     proposal_->timer.cancel();
     proposal_.reset();
   }
@@ -1004,7 +1020,7 @@ void AdapterProtocol::clear_leader_duty_state() {
   report_timer_.cancel();
   // Reporting restarts from scratch on the next leadership.
   need_full_ = true;
-  last_acked_membership_.clear();
+  last_acked_membership_ = MembershipView();
   pending_snapshot_.reset();
   departures_.clear();
 }

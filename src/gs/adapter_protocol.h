@@ -173,10 +173,12 @@ class AdapterProtocol {
   void install(MembershipView view);
 
   // --- Coordinator 2PC ----------------------------------------------------------
+  struct Proposal;
   void schedule_change();
   void propose();
+  void send_prepares(const Proposal& proposal);
   void reinstate_proposal_state(const MembershipView& aborted,
-                                const std::set<util::IpAddress>& drop,
+                                util::IpAddress drop,
                                 RemoveReason drop_reason);
   void twopc_timeout();
   void handle_prepare_ack(util::IpAddress src, const PrepareAck& msg);
@@ -262,11 +264,12 @@ class AdapterProtocol {
   };
   std::optional<PendingPrepare> pending_prepare_;
 
-  // Coordinator 2PC.
+  // Coordinator 2PC. `awaiting` is indexed by rank in `membership`: true
+  // while that participant's PrepareAck is outstanding.
   struct Proposal {
-    std::uint64_t view = 0;
     MembershipView membership;
-    std::set<util::IpAddress> awaiting;
+    std::vector<bool> awaiting;
+    std::size_t awaiting_count = 0;
     int attempt = 1;
     sim::Timer timer;
   };
@@ -294,10 +297,12 @@ class AdapterProtocol {
   // Reporting.
   std::uint64_t report_seq_ = 0;
   bool need_full_ = true;
-  std::set<util::IpAddress> last_acked_membership_;
+  // Membership as of the last acked report, and as of the one in flight:
+  // both share the committed view's list.
+  MembershipView last_acked_membership_;
   struct PendingSnapshot {
     std::uint64_t seq = 0;
-    std::set<util::IpAddress> membership;
+    MembershipView membership;
   };
   std::optional<PendingSnapshot> pending_snapshot_;
   std::map<util::IpAddress, RemoveReason> departures_;  // until acked

@@ -8,6 +8,11 @@
 //    adapter", §2.1) — rank 1, 2, ... in turn,
 //  * the logical heartbeat ring (§3): rank i's right neighbor is rank i+1
 //    (mod n), left neighbor is rank i-1 (mod n).
+//
+// The member list is an immutable, shared MemberList: copying a view
+// (committed view, pending prepare, failure detector, report snapshot)
+// copies a pointer, and a view built from a received Prepare or Commit
+// shares the list the payload decoded.
 #pragma once
 
 #include <cstdint>
@@ -24,22 +29,23 @@ class MembershipView {
  public:
   MembershipView() = default;
 
-  // Sorts descending by IP and drops duplicate IPs (keeping the first).
-  static MembershipView make(std::uint64_t view,
-                             std::vector<MemberInfo> members);
+  // Orders `members` descending by IP and drops duplicate IPs, keeping the
+  // first occurrence in `members`. A list already in rank order (every
+  // coordinator-built list) is shared as is: it has no duplicates and
+  // exactly one sorted order, so sorting would return it unchanged.
+  static MembershipView make(std::uint64_t view, MemberList members);
 
   [[nodiscard]] std::uint64_t view() const { return view_; }
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] bool empty() const { return members_.empty(); }
 
   [[nodiscard]] const std::vector<MemberInfo>& members() const {
-    return members_;
+    return members_.items();
   }
+  // The shared list itself, for messages that carry the view.
+  [[nodiscard]] const MemberList& member_list() const { return members_; }
 
-  [[nodiscard]] const MemberInfo& leader() const {
-    GS_CHECK(!members_.empty());
-    return members_.front();
-  }
+  [[nodiscard]] const MemberInfo& leader() const { return member_at(0); }
 
   [[nodiscard]] bool contains(util::IpAddress ip) const {
     return rank_of(ip).has_value();
@@ -49,7 +55,7 @@ class MembershipView {
   [[nodiscard]] std::optional<std::size_t> rank_of(util::IpAddress ip) const;
 
   [[nodiscard]] const MemberInfo& member_at(std::size_t rank) const {
-    GS_CHECK(rank < members_.size());
+    GS_CHECK(rank < size());
     return members_[rank];
   }
 
@@ -67,11 +73,12 @@ class MembershipView {
   // churn from mere view-number churn.
   [[nodiscard]] std::uint64_t ips_hash() const;
 
+  // Same view number and same members, shared or not.
   bool operator==(const MembershipView&) const = default;
 
  private:
   std::uint64_t view_ = 0;
-  std::vector<MemberInfo> members_;
+  MemberList members_;
 };
 
 }  // namespace gs::proto

@@ -69,6 +69,10 @@ class FailureDetector {
   // must fully re-arm (ring order may have changed).
   virtual void start(const MembershipView& view) = 0;
   virtual void stop() = 0;
+  // Re-targets the detector at a newly committed `view` with a fresh random
+  // stream: same timers, traffic and draws as destroying it and starting a
+  // new one built with `rng`, without the reallocation.
+  virtual void restart(const MembershipView& view, util::Rng rng) = 0;
 
   // Returns true when the heartbeat was consumed: it carries the detector's
   // view and `from` is a monitored peer. False leaves it to the caller.

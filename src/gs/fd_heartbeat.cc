@@ -46,6 +46,8 @@ void HeartbeatFd::compute_peers() {
   const auto rank_opt = view_.rank_of(ctx_.self);
   GS_CHECK(rank_opt.has_value());
   const std::size_t rank = *rank_opt;
+  const util::IpAddress right = view_.member_at((rank + 1) % n).ip;
+  const util::IpAddress left = view_.member_at((rank + n - 1) % n).ip;
 
   auto add_unique = [](std::vector<util::IpAddress>& v, util::IpAddress ip) {
     if (std::find(v.begin(), v.end(), ip) == v.end()) v.push_back(ip);
@@ -54,14 +56,14 @@ void HeartbeatFd::compute_peers() {
   switch (kind_) {
     case FdKind::kUnidirectionalRing:
       // Heartbeat the right neighbor, monitor the left (§3's base scheme).
-      add_unique(targets_, view_.right_of(ctx_.self));
-      add_unique(monitored_, view_.left_of(ctx_.self));
+      add_unique(targets_, right);
+      add_unique(monitored_, left);
       break;
     case FdKind::kBidirectionalRing:
-      add_unique(targets_, view_.right_of(ctx_.self));
-      add_unique(targets_, view_.left_of(ctx_.self));
-      add_unique(monitored_, view_.left_of(ctx_.self));
-      add_unique(monitored_, view_.right_of(ctx_.self));
+      add_unique(targets_, right);
+      add_unique(targets_, left);
+      add_unique(monitored_, left);
+      add_unique(monitored_, right);
       break;
     case FdKind::kAllToAll:
       for (const MemberInfo& m : view_.members()) {
@@ -119,6 +121,15 @@ void HeartbeatFd::start(const MembershipView& view) {
     poll_timer_ = ctx_.sim->after(ctx_.params->subgroup_poll_period,
                                   [this] { send_polls(); });
   }
+}
+
+void HeartbeatFd::restart(const MembershipView& view, util::Rng rng) {
+  // start() cancels the old view's timers in the order a destroyed detector
+  // would; the sequence counters restart as they would in a new one.
+  ctx_.rng = rng;
+  hb_seq_ = 0;
+  poll_seq_ = 0;
+  start(view);
 }
 
 void HeartbeatFd::send_heartbeats() {

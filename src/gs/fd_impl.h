@@ -3,7 +3,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "gs/fd.h"
 
@@ -20,6 +19,7 @@ class HeartbeatFd final : public FailureDetector {
 
   void start(const MembershipView& view) override;
   void stop() override { stop_all(); }
+  void restart(const MembershipView& view, util::Rng rng) override;
 
   bool on_heartbeat(util::IpAddress from, const Heartbeat& hb) override;
   void on_subgroup_poll_ack(util::IpAddress from,
@@ -81,6 +81,7 @@ class RandPingFd final : public FailureDetector {
 
   void start(const MembershipView& view) override;
   void stop() override;
+  void restart(const MembershipView& view, util::Rng rng) override;
 
   bool on_heartbeat(util::IpAddress, const Heartbeat&) override {
     return false;

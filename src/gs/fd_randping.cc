@@ -19,6 +19,14 @@ void RandPingFd::start(const MembershipView& view) {
       [this] { tick(); });
 }
 
+void RandPingFd::restart(const MembershipView& view, util::Rng rng) {
+  ctx_.rng = rng;
+  round_target_ = util::IpAddress();
+  round_nonce_ = 0;
+  round_acked_ = true;
+  start(view);
+}
+
 void RandPingFd::stop() {
   running_ = false;
   tick_timer_.cancel();

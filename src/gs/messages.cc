@@ -1,5 +1,7 @@
 #include "gs/messages.h"
 
+#include <algorithm>
+
 namespace gs::proto {
 
 std::string_view to_string(MsgType type) {
@@ -42,6 +44,20 @@ MemberInfo decode_member(wire::Reader& r) {
   m.node = util::NodeId(r.u32());
   m.central_eligible = r.boolean();
   return m;
+}
+
+MemberList::MemberList(std::vector<MemberInfo> members) {
+  const auto out_of_order = [](const MemberInfo& a, const MemberInfo& b) {
+    return a.ip <= b.ip;
+  };
+  in_rank_order_ = std::adjacent_find(members.begin(), members.end(),
+                                      out_of_order) == members.end();
+  list_ = std::make_shared<const std::vector<MemberInfo>>(std::move(members));
+}
+
+const std::vector<MemberInfo>& MemberList::no_members() {
+  static const std::vector<MemberInfo> none;
+  return none;
 }
 
 namespace {
@@ -114,7 +130,7 @@ GS_DEFINE_CODEC_SHIMS(JoinRequest)
 void encode_into(wire::Writer& w, const Prepare& msg) {
   w.u64(msg.view);
   w.u32(msg.leader.bits());
-  encode_members(w, msg.members);
+  encode_members(w, msg.members.items());
 }
 
 bool decode_typed(std::span<const std::uint8_t> payload, Prepare* out) {
@@ -149,7 +165,7 @@ GS_DEFINE_CODEC_SHIMS(PrepareAck)
 
 void encode_into(wire::Writer& w, const Commit& msg) {
   w.u64(msg.view);
-  encode_members(w, msg.members);
+  encode_members(w, msg.members.items());
 }
 
 bool decode_typed(std::span<const std::uint8_t> payload, Commit* out) {

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -59,6 +61,44 @@ struct MemberInfo {
 void encode_member(wire::Writer& w, const MemberInfo& m);
 [[nodiscard]] MemberInfo decode_member(wire::Reader& r);
 
+// An immutable member list that copies share. A Prepare or Commit decoded
+// once per payload hands the same list to every receiver, and the
+// MembershipView each receiver builds from it keeps that list rather than
+// a copy. Whether the list is in rank order (strictly descending IP, so
+// no duplicates) is worked out once, when the list is built.
+class MemberList {
+ public:
+  using const_iterator = std::vector<MemberInfo>::const_iterator;
+
+  MemberList() = default;
+  MemberList(std::vector<MemberInfo> members);  // NOLINT: implicit
+  MemberList(std::initializer_list<MemberInfo> members)
+      : MemberList(std::vector<MemberInfo>(members)) {}
+
+  [[nodiscard]] const std::vector<MemberInfo>& items() const {
+    return list_ ? *list_ : no_members();
+  }
+  [[nodiscard]] std::size_t size() const { return items().size(); }
+  [[nodiscard]] bool empty() const { return items().empty(); }
+  [[nodiscard]] const_iterator begin() const { return items().begin(); }
+  [[nodiscard]] const_iterator end() const { return items().end(); }
+  [[nodiscard]] const MemberInfo& operator[](std::size_t i) const {
+    return items()[i];
+  }
+  [[nodiscard]] bool in_rank_order() const { return in_rank_order_; }
+
+  // Same members in the same order; shared storage is only a shortcut.
+  bool operator==(const MemberList& other) const {
+    return list_ == other.list_ || items() == other.items();
+  }
+
+ private:
+  static const std::vector<MemberInfo>& no_members();
+
+  std::shared_ptr<const std::vector<MemberInfo>> list_;
+  bool in_rank_order_ = true;  // the empty list is trivially in order
+};
+
 // ---------------------------------------------------------------------------
 
 // Multicast on the well-known group during discovery, and forever by
@@ -85,7 +125,7 @@ struct Prepare {
   static constexpr MsgType kType = MsgType::kPrepare;
   std::uint64_t view = 0;
   util::IpAddress leader;
-  std::vector<MemberInfo> members;
+  MemberList members;
 };
 
 struct PrepareAck {
@@ -103,7 +143,7 @@ struct PrepareAck {
 struct Commit {
   static constexpr MsgType kType = MsgType::kCommit;
   std::uint64_t view = 0;
-  std::vector<MemberInfo> members;  // rank order, like Prepare
+  MemberList members;  // rank order, like Prepare
 };
 
 struct Heartbeat {

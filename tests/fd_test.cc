@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "gs/fd.h"
 #include "gs/fd_impl.h"
@@ -333,23 +335,29 @@ struct SentFrame {
 class StandaloneFd {
  public:
   StandaloneFd(sim::Simulator& sim, FdKind kind, int n, std::uint8_t self)
-      : params_(fd_params()) {
+      : sim_(sim), params_(fd_params()), self_(member(self).ip) {
     std::vector<MemberInfo> members;
     for (int i = 1; i <= n; ++i)
       members.push_back(member(static_cast<std::uint8_t>(i)));
     view_ = MembershipView::make(1, members);
+    rebuild(kind, view_, util::Rng(self));
+  }
+
+  // Replaces the detector with a newly built one started on `view`.
+  void rebuild(FdKind kind, const MembershipView& view, util::Rng rng) {
     FdContext ctx;
-    ctx.sim = &sim;
+    ctx.sim = &sim_;
     ctx.params = &params_;
-    ctx.self = member(self).ip;
-    ctx.rng = util::Rng(self);
-    ctx.send = [this, &sim](util::IpAddress to, net::Payload frame) {
-      sent_.push_back(SentFrame{sim.now(), to, std::move(frame)});
+    ctx.self = self_;
+    ctx.rng = rng;
+    ctx.send = [this](util::IpAddress to, net::Payload frame) {
+      sent_.push_back(SentFrame{sim_.now(), to, std::move(frame)});
     };
     ctx.suspect = [](util::IpAddress) {};
     ctx.encode_scratch = &scratch_;
+    fd_.reset();
     fd_ = make_failure_detector(kind, std::move(ctx));
-    fd_->start(view_);
+    fd_->start(view);
   }
 
   [[nodiscard]] FailureDetector& fd() { return *fd_; }
@@ -357,7 +365,9 @@ class StandaloneFd {
   [[nodiscard]] const std::vector<SentFrame>& sent() const { return sent_; }
 
  private:
+  sim::Simulator& sim_;
   Params params_;
+  util::IpAddress self_;
   MembershipView view_;
   wire::Writer scratch_;
   std::vector<SentFrame> sent_;
@@ -425,6 +435,50 @@ TEST(RingFd, OnHeartbeatConsumesOnlyMonitoredPeersInItsView) {
   StandaloneFd pinger(sim, FdKind::kRandomPing, 5, 3);
   EXPECT_FALSE(pinger.fd().on_heartbeat(member(4).ip, hb));
 }
+
+// Re-targeting a running detector at a new view must be indistinguishable
+// from replacing it with a newly built one: same sends, at the same times,
+// with the same bytes (heartbeat and poll sequence numbers, ping nonces).
+class FdRestart : public ::testing::TestWithParam<FdKind> {};
+
+TEST_P(FdRestart, MatchesAFreshlyBuiltDetector) {
+  // Self (9) leads both views, so the subgroup leader's polls are covered.
+  const auto next = MembershipView::make(
+      2, {member(9), member(8), member(6), member(5), member(4), member(3),
+          member(2), member(1)});
+  const auto run = [&](bool restart) {
+    sim::Simulator sim;
+    StandaloneFd host(sim, GetParam(), 9, 9);
+    const sim::SimDuration period = host.params().subgroup_poll_period;
+    sim.run_until(3 * period + 7);
+    const std::size_t before = host.sent().size();
+    if (restart)
+      host.fd().restart(next, util::Rng(99));
+    else
+      host.rebuild(GetParam(), next, util::Rng(99));
+    sim.run_until(9 * period);
+    std::vector<std::tuple<sim::SimTime, util::IpAddress,
+                           std::vector<std::uint8_t>>>
+        after;
+    for (std::size_t i = before; i < host.sent().size(); ++i) {
+      const SentFrame& f = host.sent()[i];
+      after.emplace_back(f.at, f.to,
+                         std::vector<std::uint8_t>(f.frame.bytes().begin(),
+                                                   f.frame.bytes().end()));
+    }
+    return after;
+  };
+  const auto restarted = run(true);
+  EXPECT_FALSE(restarted.empty());
+  EXPECT_EQ(restarted, run(false));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, FdRestart,
+                         ::testing::Values(FdKind::kUnidirectionalRing,
+                                           FdKind::kBidirectionalRing,
+                                           FdKind::kAllToAll,
+                                           FdKind::kSubgroupRing,
+                                           FdKind::kRandomPing));
 
 // --- Consensus hints ------------------------------------------------------------------
 

@@ -9,8 +9,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "farm/farm.h"
 #include "farm/scenario.h"
@@ -75,6 +77,66 @@ TEST(GoldenDigest, OceanoDiscoveryFailureRecovery) {
   EXPECT_EQ(hex(trace_digest), "0x23a594be2318de01")
       << "JSONL trace stream changed";
   EXPECT_EQ(hex(prometheus_digest), "0xb5621968866c6d1e")
+      << "Prometheus exposition changed";
+}
+
+// The same pins for a farm whose admin AMG holds 108 members (every node),
+// driven through a burst of six staggered node failures (one of them the
+// leader) and their recoveries: each is a two-phase commit over the whole
+// admin AMG, about a dozen view changes of 100+ members in all. The small
+// farm above never builds a group large enough to exercise that path.
+TEST(GoldenDigest, LargeAdminAmgFailureRecoveryBurst) {
+  proto::Params params;
+  params.beacon_phase = sim::seconds(2);
+  params.amg_stable_wait = sim::seconds(1);
+  params.gsc_stable_wait = sim::seconds(3);
+
+  sim::Simulator sim;
+  Farm farm(sim, FarmSpec::oceano(4, 10, 16), params, /*seed=*/777);
+  farm.enable_span_tracking();
+
+  std::uint64_t trace_digest = kFnvBasis;
+  std::uint64_t records = 0;
+  auto tap = farm.trace_bus().subscribe([&](const obs::TraceRecord& record) {
+    trace_digest = fnv1a(trace_digest, obs::to_json(record));
+    trace_digest = fnv1a(trace_digest, "\n");
+    ++records;
+  });
+
+  farm.start();
+  ASSERT_TRUE(run_until_converged(farm, sim::seconds(120)));
+  const std::vector<std::size_t> backs =
+      farm.nodes_with_role(NodeRole::kBackEnd);
+  const std::vector<std::size_t> fronts =
+      farm.nodes_with_role(NodeRole::kFrontEnd);
+  ASSERT_GE(backs.size(), 3u);
+  ASSERT_GE(fronts.size(), 2u);
+  // The third victim is the admin AMG's leader (the active GSC): its
+  // successor takes over and recommits the whole group.
+  const std::optional<std::size_t> gsc = farm.expected_gsc_node();
+  ASSERT_TRUE(gsc.has_value());
+  const std::vector<std::size_t> victims = {backs[0], fronts[0], *gsc,
+                                            backs[1], fronts[1], backs[2]};
+  for (const std::size_t node : victims) {
+    farm.fail_node(node);
+    sim.run_until(sim.now() + sim::seconds(3));
+  }
+  sim.run_until(sim.now() + sim::seconds(30));
+  for (const std::size_t node : victims) {
+    farm.recover_node(node);
+    sim.run_until(sim.now() + sim::seconds(2));
+  }
+  ASSERT_TRUE(run_until_converged(farm, sim.now() + sim::seconds(120)));
+  sim.run_until(sim.now() + sim::seconds(10));
+  tap.reset();
+
+  const std::string prometheus = obs::expo::to_prometheus(farm.metrics());
+  const std::uint64_t prometheus_digest = fnv1a(kFnvBasis, prometheus);
+
+  EXPECT_EQ(records, 55390u);
+  EXPECT_EQ(hex(trace_digest), "0x19858c106106124c")
+      << "JSONL trace stream changed";
+  EXPECT_EQ(hex(prometheus_digest), "0xb5374c101aaf64bf")
       << "Prometheus exposition changed";
 }
 

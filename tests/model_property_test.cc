@@ -132,8 +132,10 @@ TEST_P(CodecFuzz, RandomStructsRoundTrip) {
       msg.view = rng.next();
       msg.leader = util::IpAddress(static_cast<std::uint32_t>(rng.next()));
       const std::size_t n = rng.below(20);
+      std::vector<proto::MemberInfo> members;
       for (std::size_t i = 0; i < n; ++i)
-        msg.members.push_back(random_member(rng));
+        members.push_back(random_member(rng));
+      msg.members = std::move(members);
       auto out = proto::decode_Prepare(proto::encode(msg));
       ASSERT_TRUE(out.has_value());
       EXPECT_EQ(out->members, msg.members);
@@ -143,8 +145,10 @@ TEST_P(CodecFuzz, RandomStructsRoundTrip) {
       proto::Commit msg;
       msg.view = rng.next();
       const std::size_t n = rng.below(20);
+      std::vector<proto::MemberInfo> members;
       for (std::size_t i = 0; i < n; ++i)
-        msg.members.push_back(random_member(rng));
+        members.push_back(random_member(rng));
+      msg.members = std::move(members);
       auto out = proto::decode_Commit(proto::encode(msg));
       ASSERT_TRUE(out.has_value());
       EXPECT_EQ(out->members, msg.members);

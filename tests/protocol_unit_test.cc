@@ -295,7 +295,121 @@ TEST_F(ProtocolUnit, PingAnsweredToOrigin) {
   EXPECT_EQ(decode_PingAck(ack->payload)->target, ip(5));
 }
 
+// A non-conforming coordinator may send its lists unsorted or with an
+// entry repeated. The receiver normalizes what it is given: whichever path
+// installs the view (the Commit, or group traffic implying it), and
+// whether or not the Commit repeats the Prepare's list, it ends up with
+// exactly the view the sorted list yields.
+TEST_F(ProtocolUnit, UnsortedOrDuplicatedListsInstallTheNormalizedView) {
+  const std::vector<MemberInfo> sorted = {member(9), member(7), member(5),
+                                          member(3)};
+  const std::vector<std::vector<MemberInfo>> lists = {
+      sorted,
+      {member(3), member(5), member(7), member(9)},
+      {member(5), member(9), member(3), member(7)},
+      {member(7), member(9), member(5), member(7), member(3), member(5)},
+  };
+  const MembershipView expected = MembershipView::make(7, sorted);
+  enum class Path { kSameCommit, kSortedCommit, kImplicit };
+  for (const auto& list : lists) {
+    for (const Path path :
+         {Path::kSameCommit, Path::kSortedCommit, Path::kImplicit}) {
+      SCOPED_TRACE(static_cast<int>(path));
+      sent_.clear();
+      make_protocol(5);
+      proto_->start();
+      Prepare prepare{};
+      prepare.view = 7;
+      prepare.leader = ip(9);
+      prepare.members = list;
+      inject(ip(9), prepare);
+      const SentFrame* ack = find_sent(MsgType::kPrepareAck, ip(9));
+      ASSERT_NE(ack, nullptr);
+      EXPECT_TRUE(decode_PrepareAck(ack->payload)->ok);
+
+      if (path == Path::kImplicit) {
+        Heartbeat hb{};
+        hb.view = 7;
+        hb.seq = 1;
+        inject(ip(7), hb);
+      } else {
+        Commit commit{};
+        commit.view = 7;
+        commit.members = path == Path::kSameCommit ? list : sorted;
+        inject(ip(9), commit);
+      }
+      ASSERT_TRUE(proto_->is_committed());
+      EXPECT_EQ(proto_->committed(), expected);
+      EXPECT_EQ(proto_->committed().left_of(ip(5)), ip(7));
+      EXPECT_EQ(proto_->committed().right_of(ip(5)), ip(3));
+    }
+  }
+}
+
 // --- Coordinator paths -------------------------------------------------------------
+
+// The coordinator's send order is part of the pinned behaviour: it fixes
+// event sequence numbers, and with them every later tie-break in the
+// simulator. Prepares go out in ascending IP order, Commits in rank order.
+TEST_F(ProtocolUnit, CoordinatorSendsPreparesByAscendingIpCommitsByRank) {
+  const auto destinations = [this](MsgType type) {
+    std::vector<util::IpAddress> to;
+    for (const SentFrame& f : sent_)
+      if (f.type == type) to.push_back(f.to);
+    return to;
+  };
+  const auto beacon = [this](int host) {
+    Beacon b{};
+    b.self = member(static_cast<std::uint8_t>(host));
+    inject(b.self.ip, b);
+  };
+  const auto prepared_view = [this] {
+    const SentFrame* prep = find_sent(MsgType::kPrepare);
+    return prep == nullptr ? 0 : decode_Prepare(prep->payload)->view;
+  };
+  const auto ack = [this](std::uint64_t view, int host) {
+    PrepareAck a{};
+    a.view = view;
+    a.ok = true;
+    inject(ip(static_cast<std::uint8_t>(host)), a);
+  };
+
+  make_protocol(9);
+  proto_->start();
+  for (const int host : {5, 2, 7, 3, 8}) beacon(host);
+  sim_.run_until(sim_.now() + params_.beacon_phase + sim::milliseconds(1));
+  EXPECT_EQ(destinations(MsgType::kPrepare),
+            (std::vector{ip(2), ip(3), ip(5), ip(7), ip(8)}));
+  const std::uint64_t formation = prepared_view();
+  sent_.clear();
+  for (const int host : {7, 2, 8, 5, 3}) ack(formation, host);
+  ASSERT_TRUE(proto_->is_committed());
+  EXPECT_EQ(destinations(MsgType::kCommit),
+            (std::vector{ip(8), ip(7), ip(5), ip(3), ip(2)}));
+
+  // Two newcomers trigger a second round. Retries go only to the silent
+  // participants, still in ascending IP order, and the final Commit to the
+  // acknowledged subset in rank order.
+  sent_.clear();
+  for (const int host : {6, 4}) beacon(host);
+  sim_.run_until(sim_.now() + params_.change_debounce + sim::milliseconds(1));
+  EXPECT_EQ(destinations(MsgType::kPrepare),
+            (std::vector{ip(2), ip(3), ip(4), ip(5), ip(6), ip(7), ip(8)}));
+  const std::uint64_t growth = prepared_view();
+  sent_.clear();
+  for (const int host : {8, 3, 6}) ack(growth, host);
+  sim_.run_until(sim_.now() + params_.twopc_timeout + sim::milliseconds(1));
+  EXPECT_EQ(destinations(MsgType::kPrepare),
+            (std::vector{ip(2), ip(4), ip(5), ip(7)}));
+  sent_.clear();
+  sim_.run_until(sim_.now() + 2 * params_.twopc_timeout);
+  EXPECT_EQ(destinations(MsgType::kPrepare),
+            (std::vector{ip(2), ip(4), ip(5), ip(7)}));
+  EXPECT_EQ(destinations(MsgType::kCommit),
+            (std::vector{ip(8), ip(6), ip(3)}));
+  EXPECT_EQ(proto_->committed().view(), growth);
+  EXPECT_EQ(proto_->committed().size(), 4u);
+}
 
 TEST_F(ProtocolUnit, FormationCommitsAckedSubsetAfterTimeouts) {
   make_protocol(9);
