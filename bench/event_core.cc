@@ -71,8 +71,8 @@ MicroResult run_rearm(std::size_t monitors, std::size_t ops, std::size_t fan) {
 
   std::uint64_t checksum = 0;
   // Peek-then-pop, exactly as every library consumer drives the queue
-  // (Simulator::run_until/run_window, WallClock::run_due, the shard
-  // barrier all check next_time() against a deadline before popping).
+  // (Simulator::run_until and WallClock::run_due both check next_time()
+  // against a deadline before popping).
   // Folding the peek into the checksum doubles as a cross-check that the
   // peek and the pop agree.
   auto spin = [&](std::size_t n) {

@@ -7,15 +7,6 @@
 //                nodes, then recovers them. Reported: simulator events/s,
 //                frames sent+delivered/s (wall clock), peak RSS.
 //
-//  sharded steady state  (--shards=N) the same workload partitioned by VLAN
-//                across N sim::ShardSet worker threads, each owning a
-//                private Simulator + Fabric. VLANs are disjoint across
-//                shards, so no cross-shard traffic flows; the measurement
-//                isolates the epoch-barrier overhead against near-ideal
-//                parallel work. Reported: events/s at shards=1 (same
-//                harness) and shards=N, and their ratio; --min_shard_speedup
-//                turns a scaling regression into a nonzero exit.
-//
 //  steady event path  (PR 10) the steady state's event-core cost raced as a
 //                pre-PR replica vs the shipped shape: binary heap + one
 //                event per receiver + cancel/re-push re-arms, against the
@@ -52,7 +43,6 @@
 #include "net/fabric.h"
 #include "sim/event_queue.h"
 #include "sim/heap_queue.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -181,129 +171,6 @@ SteadyResult run_steady_state(std::size_t adapters, std::size_t vlans,
   out.frames_sent = fabric.total_frames_sent();
   for (std::size_t v = 0; v < vlans; ++v)
     out.frames_delivered += fabric.load(vlan_for(v, vlans)).frames_delivered;
-  return out;
-}
-
-// The steady-state workload again, partitioned by VLAN across ShardSet
-// worker threads. Adapter i lives on VLAN 1 + i % vlans, and that VLAN's
-// whole membership lands on shard (i % vlans) % shards — VLANs never span
-// shards, so no frame crosses a shard boundary and the run measures pure
-// epoch-barrier overhead over embarrassingly parallel simulation. Each shard
-// owns a private Simulator + Fabric (same channel seed: per-VLAN streams are
-// forked from the VLAN id, so the per-VLAN workload is identical at every
-// shard count) plus its own timers and counters; nothing is shared across
-// threads except the barrier itself.
-struct ShardCtx {
-  gs::sim::Simulator sim;
-  std::unique_ptr<gs::net::Fabric> fabric;
-  std::vector<gs::util::AdapterId> adapters;  // local, by local index
-  std::vector<std::size_t> global_index;      // local index -> global i
-  std::vector<gs::util::SwitchId> switches;
-  std::vector<gs::sim::Timer> suspicion;
-  std::function<void(std::size_t)> beacon;
-  std::uint64_t suspicion_fires = 0;
-};
-
-SteadyResult run_steady_state_sharded(std::size_t adapters, std::size_t vlans,
-                                      double window_s,
-                                      std::size_t payload_bytes,
-                                      std::size_t shards) {
-  shards = std::min(shards, vlans);  // the partition unit is a whole VLAN
-  std::vector<std::unique_ptr<ShardCtx>> shard;
-  for (std::size_t s = 0; s < shards; ++s) {
-    auto ctx = std::make_unique<ShardCtx>();
-    ctx->fabric =
-        std::make_unique<gs::net::Fabric>(ctx->sim, gs::util::Rng(0xFA12));
-    gs::net::ChannelModel model;
-    model.loss_probability = 0.001;
-    ctx->fabric->set_default_channel(model);
-    shard.push_back(std::move(ctx));
-  }
-  for (std::size_t i = 0; i < adapters; ++i) {
-    ShardCtx& c = *shard[(i % vlans) % shards];
-    if (c.adapters.size() % kPortsPerSwitch == 0)
-      c.switches.push_back(c.fabric->add_switch(kPortsPerSwitch));
-    const auto id =
-        c.fabric->add_adapter(gs::util::NodeId(static_cast<std::uint32_t>(i)));
-    c.fabric->attach(id, c.switches.back(), vlan_for(i, vlans));
-    c.fabric->set_adapter_ip(
-        id, gs::util::IpAddress(10, static_cast<std::uint8_t>(i >> 16),
-                                static_cast<std::uint8_t>(i >> 8),
-                                static_cast<std::uint8_t>(i)));
-    c.adapters.push_back(id);
-    c.global_index.push_back(i);
-  }
-
-  const auto frame = beacon_frame(payload_bytes);
-  const gs::sim::SimTime window = gs::sim::seconds(window_s);
-  const gs::sim::SimDuration beacon_period = gs::sim::milliseconds(500);
-  for (auto& ctx : shard) {
-    ShardCtx& c = *ctx;
-    c.suspicion.resize(c.adapters.size());
-    for (std::size_t li = 0; li < c.adapters.size(); ++li) {
-      c.fabric->adapter(c.adapters[li])
-          .set_receive_handler([&c, li](const gs::net::Datagram&) {
-            if (!c.suspicion[li].rearm_after(gs::sim::seconds(2)))
-              c.suspicion[li] = c.sim.after(
-                  gs::sim::seconds(2), [&c] { ++c.suspicion_fires; });
-          });
-    }
-    c.beacon = [&c, &frame, window, beacon_period](std::size_t li) {
-      c.fabric->multicast(c.adapters[li], gs::net::kBeaconGroup, frame);
-      if (c.sim.now() + beacon_period < window)
-        c.sim.after(beacon_period, [&c, li] { c.beacon(li); });
-    };
-    for (std::size_t li = 0; li < c.adapters.size(); ++li) {
-      const auto phase = static_cast<gs::sim::SimDuration>(
-          (c.global_index[li] * static_cast<std::size_t>(beacon_period)) /
-          (adapters == 0 ? 1 : adapters));
-      c.sim.after(phase, [&c, li] { c.beacon(li); });
-    }
-    c.sim.at(window / 2, [&c] {
-      for (std::size_t s = 0; s < c.switches.size(); s += 16)
-        c.fabric->fail_switch(c.switches[s]);
-      for (std::size_t li = 0; li < c.adapters.size(); ++li)
-        if (c.global_index[li] % 100 == 0)
-          c.fabric->fail_node(gs::util::NodeId(
-              static_cast<std::uint32_t>(c.global_index[li])));
-    });
-    c.sim.at((window / 4) * 3, [&c] {
-      for (std::size_t s = 0; s < c.switches.size(); s += 16)
-        c.fabric->recover_switch(c.switches[s]);
-      for (std::size_t li = 0; li < c.adapters.size(); ++li)
-        if (c.global_index[li] % 100 == 0)
-          c.fabric->recover_node(gs::util::NodeId(
-              static_cast<std::uint32_t>(c.global_index[li])));
-    });
-  }
-
-  std::vector<gs::sim::Simulator*> sims;
-  for (auto& ctx : shard) sims.push_back(&ctx->sim);
-  // The default channel's 200 us base latency is the epoch bound a spanning
-  // topology would impose; use it here too so the barrier cadence matches a
-  // real cross-shard deployment instead of flattering the measurement.
-  gs::sim::ShardSet set(sims, gs::sim::microseconds(200));
-
-  SteadyResult out;
-  const auto start = Clock::now();
-  out.events = set.run_until(window + gs::sim::seconds(3));
-  out.wall_s = seconds_since(start);
-
-  // Teardown discipline: payloads parked in a fabric or pending in a queue
-  // were acquired on that shard's thread and must be released there.
-  set.for_each_shard([&shard](std::size_t s) {
-    shard[s]->sim.drop_pending();
-    shard[s]->fabric->drop_in_flight();
-  });
-  set.shutdown();
-  for (auto& ctx : shard) {
-    out.frames_sent += ctx->fabric->total_frames_sent();
-    out.suspicion_fires += ctx->suspicion_fires;
-  }
-  for (std::size_t v = 0; v < vlans; ++v)
-    out.frames_delivered += shard[v % shards]
-                                ->fabric->load(vlan_for(v, vlans))
-                                .frames_delivered;
   return out;
 }
 
@@ -664,11 +531,6 @@ int main(int argc, char** argv) {
       "min_steady_speedup", 1.5,
       "exit nonzero if the wheel+batching replica speedup over the "
       "heap+per-receiver replica falls below this");
-  const auto shards = static_cast<std::size_t>(flags.get_int(
-      "shards", 0, "also run the sharded steady state on this many threads"));
-  const double min_shard_speedup = flags.get_double(
-      "min_shard_speedup", 0.0,
-      "exit nonzero if sharded/single-shard events/s falls below this");
   if (flags.help_requested()) {
     flags.print_usage();
     return 0;
@@ -693,26 +555,6 @@ int main(int argc, char** argv) {
   std::printf("  frames sent/s    %10.0f\n", sent_per_s);
   std::printf("  frames delivd/s  %10.0f\n", delivered_per_s);
   std::printf("  peak RSS         %10.1f MiB\n", rss);
-
-  double shard_speedup = 0;
-  double sharded_events_per_s = 0;
-  double single_shard_events_per_s = 0;
-  if (shards > 1) {
-    const SteadyResult single =
-        run_steady_state_sharded(adapters, vlans, window, payload, 1);
-    const SteadyResult multi =
-        run_steady_state_sharded(adapters, vlans, window, payload, shards);
-    single_shard_events_per_s =
-        static_cast<double>(single.events) / single.wall_s;
-    sharded_events_per_s = static_cast<double>(multi.events) / multi.wall_s;
-    shard_speedup = sharded_events_per_s / single_shard_events_per_s;
-    std::printf("\nsharded steady state (%zu shards, 200us epochs):\n", shards);
-    std::printf("  1 shard          %10.0f events/s  (%.2f s wall)\n",
-                single_shard_events_per_s, single.wall_s);
-    std::printf("  %zu shards         %10.0f events/s  (%.2f s wall)\n", shards,
-                sharded_events_per_s, multi.wall_s);
-    std::printf("  speedup          %10.2fx\n", shard_speedup);
-  }
 
   const MicroResult micro =
       run_multicast_micro(adapters, vlans, frames, payload);
@@ -755,21 +597,8 @@ int main(int argc, char** argv) {
   json.set("steady_replica_legacy_wall_s", replica.legacy_wall_s);
   json.set("steady_replica_batched_wall_s", replica.batched_wall_s);
   json.set("steady_replica_speedup", replica.speedup);
-  if (shards > 1) {
-    json.set("shards", static_cast<std::int64_t>(shards));
-    json.set("single_shard_events_per_s", single_shard_events_per_s);
-    json.set("sharded_events_per_s", sharded_events_per_s);
-    json.set("shard_speedup", shard_speedup);
-  }
   json.write();
 
-  if (shards > 1 && shard_speedup < min_shard_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: shard speedup %.2fx below floor %.2fx — the epoch "
-                 "barrier is eating the parallelism\n",
-                 shard_speedup, min_shard_speedup);
-    return 1;
-  }
   if (micro.speedup < min_speedup) {
     std::fprintf(stderr,
                  "FAIL: multicast speedup %.2fx below floor %.2fx — the "

@@ -6,7 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "net/shard_router.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -25,23 +24,12 @@ util::IpAddress make_ip(util::VlanId vlan, std::uint32_t host) {
 
 Farm::Farm(sim::Simulator& sim, const FarmSpec& spec,
            const proto::Params& params, std::uint64_t seed)
-    : Farm(sim, spec, params, seed, ShardView{}) {}
-
-Farm::Farm(sim::Simulator& sim, const FarmSpec& spec,
-           const proto::Params& params, std::uint64_t seed,
-           const ShardView& view)
-    : sim_(sim), spec_(spec), params_(params), rng_(seed), view_(view) {
-  GS_CHECK(view_.shards >= 1 && view_.shard < view_.shards);
+    : sim_(sim), spec_(spec), params_(params), rng_(seed) {
   // Every layer built below captures a reference to params_, so pointing it
   // at the farm-wide trace bus here wires them all at once.
   params_.trace = &trace_bus_;
-  // Same seed on every shard: the fabric fork (and through it each VLAN's
-  // segment RNG stream) is identical across shards, so a VLAN's channel
-  // draws do not depend on which shard hosts which member.
   fabric_ = std::make_unique<net::Fabric>(sim_, rng_.fork(0xFAB));
   fabric_->set_trace(&trace_bus_);
-  if (view_.router != nullptr)
-    view_.router->add_fabric(view_.shard, fabric_.get());
   console_ = std::make_unique<net::SwitchConsole>(*fabric_);
   current_switch_ = fabric_->add_switch(
       static_cast<std::size_t>(spec_.switch_ports));
@@ -85,17 +73,11 @@ void Farm::ensure_rack_capacity(std::size_t ports_needed) {
 
 util::AdapterId Farm::new_racked_adapter(util::NodeId node, util::VlanId vlan,
                                          util::IpAddress ip, bool /*admin*/) {
-  // Ghost adapters (remote nodes of a sharded build) are constructed but
-  // never wired: every shard must agree on adapter ids, IPs, and db rows,
-  // while switches and wiring stay shard-local.
-  const bool local = is_local(node.value());
-  if (local)
-    GS_CHECK_MSG(fabric_->nic_switch(current_switch_).free_port().has_value(),
-                 "reserve rack capacity per node before wiring");
+  GS_CHECK_MSG(fabric_->nic_switch(current_switch_).free_port().has_value(),
+               "reserve rack capacity per node before wiring");
   const util::AdapterId id = fabric_->add_adapter(node);
-  if (local) fabric_->attach(id, current_switch_, vlan);
+  fabric_->attach(id, current_switch_, vlan);
   fabric_->set_adapter_ip(id, ip);
-  planned_vlan_[id] = vlan;
   return id;
 }
 
@@ -125,24 +107,21 @@ void Farm::finish_node(std::size_t index, NodeRole role, util::DomainId domain,
   node_record.central_eligible = eligible;
   db_.put_node(node_record);
 
-  const bool local = is_local(index);
   for (std::size_t i = 0; i < adapters.size(); ++i) {
     const net::Adapter& adapter = fabric_->adapter(adapters[i]);
     config::AdapterRecord record;
     record.adapter = adapters[i];
     record.node = node_id;
     record.ip = adapter.ip();
-    // planned_vlan_, not vlan_of(): identical for wired adapters, and the
-    // only VLAN a ghost has — every shard's db carries the same rows.
-    record.expected_vlan = planned_vlan_.at(adapters[i]);
+    record.expected_vlan = fabric_->vlan_of(adapters[i]);
     record.wired_switch = adapter.attached_switch();
     record.wired_port = adapter.attached_port();
     record.admin = i == 0;
     db_.put_adapter(record);
-    if (local) adapter_owner_[adapters[i]] = {index, i};
+    adapter_owner_[adapters[i]] = {index, i};
   }
 
-  if (eligible && local) {
+  if (eligible) {
     auto central =
         std::make_unique<proto::Central>(sim_, params_, &db_, console_.get());
     central_taps_.push_back(central->event_bus().subscribe(
@@ -151,19 +130,10 @@ void Farm::finish_node(std::size_t index, NodeRole role, util::DomainId domain,
   } else {
     centrals_.push_back(nullptr);
   }
-  root_centrals_.push_back(hier.root && eligible && local
-                               ? std::make_unique<proto::RootCentral>(sim_,
-                                                                      params_)
-                               : nullptr);
-
-  if (!local) {
-    // Remote ghost: no transport, no daemon. The node's protocol state
-    // lives on its home shard; here only its fabric/db identity exists.
-    transports_.push_back(nullptr);
-    daemons_.push_back(nullptr);
-    uplinks_.push_back(nullptr);
-    return;
-  }
+  root_centrals_.push_back(
+      hier.root && eligible
+          ? std::make_unique<proto::RootCentral>(sim_, params_)
+          : nullptr);
 
   transports_.push_back(
       std::make_unique<net::FabricTransport>(*fabric_, std::move(adapters)));
@@ -209,7 +179,7 @@ void Farm::build_uniform() {
   const auto adapters = static_cast<std::size_t>(spec_.adapters_per_generic_node);
   for (std::size_t n = 0; n < nodes; ++n) {
     const util::NodeId node_id(static_cast<std::uint32_t>(n));
-    if (is_local(n)) ensure_rack_capacity(adapters);
+    ensure_rack_capacity(adapters);
     std::vector<util::AdapterId> ids;
     ids.reserve(adapters);
     for (std::size_t a = 0; a < adapters; ++a) {
@@ -240,7 +210,7 @@ void Farm::build_oceano() {
   // admin-AMG leader — GulfStream Central — is always an eligible node.
   for (int m = 0; m < spec_.management_nodes; ++m) {
     const util::NodeId node_id(static_cast<std::uint32_t>(index));
-    if (is_local(index)) ensure_rack_capacity(1);
+    ensure_rack_capacity(1);
     std::vector<util::AdapterId> ids;
     ids.push_back(new_racked_adapter(node_id, admin_vlan(),
                                      make_ip(admin_vlan(), mgmt_admin_host++),
@@ -253,8 +223,7 @@ void Farm::build_oceano() {
   // domain's dispatch VLAN (Figure 1: every domain talks to dispatchers).
   for (int d = 0; d < spec_.dispatchers; ++d) {
     const util::NodeId node_id(static_cast<std::uint32_t>(index));
-    if (is_local(index))
-      ensure_rack_capacity(1 + static_cast<std::size_t>(spec_.domains));
+    ensure_rack_capacity(1 + static_cast<std::size_t>(spec_.domains));
     std::vector<util::AdapterId> ids;
     ids.push_back(new_racked_adapter(node_id, admin_vlan(),
                                      make_ip(admin_vlan(), admin_host++),
@@ -278,7 +247,7 @@ void Farm::build_oceano() {
 
     for (int f = 0; f < spec_.fronts_per_domain; ++f) {
       const util::NodeId node_id(static_cast<std::uint32_t>(index));
-      if (is_local(index)) ensure_rack_capacity(3);
+      ensure_rack_capacity(3);
       std::vector<util::AdapterId> ids;
       ids.push_back(new_racked_adapter(node_id, admin_vlan(),
                                        make_ip(admin_vlan(), admin_host++),
@@ -293,7 +262,7 @@ void Farm::build_oceano() {
     }
     for (int b = 0; b < spec_.backs_per_domain; ++b) {
       const util::NodeId node_id(static_cast<std::uint32_t>(index));
-      if (is_local(index)) ensure_rack_capacity(2);
+      ensure_rack_capacity(2);
       std::vector<util::AdapterId> ids;
       ids.push_back(new_racked_adapter(node_id, admin_vlan(),
                                        make_ip(admin_vlan(), admin_host++),
@@ -325,7 +294,7 @@ void Farm::build_hierarchical() {
   // membership) and the farm-wide RootCentral.
   for (int m = 0; m < spec_.management_nodes; ++m) {
     const util::NodeId node_id(static_cast<std::uint32_t>(index));
-    if (is_local(index)) ensure_rack_capacity(1);
+    ensure_rack_capacity(1);
     std::vector<util::AdapterId> ids;
     ids.push_back(new_racked_adapter(node_id, admin_vlan(),
                                      make_ip(admin_vlan(), root_admin_host++),
@@ -347,7 +316,7 @@ void Farm::build_hierarchical() {
     // the root VLAN carrying the DomainUplink.
     for (int m = 0; m < spec_.domain_mgmt_nodes; ++m) {
       const util::NodeId node_id(static_cast<std::uint32_t>(index));
-      if (is_local(index)) ensure_rack_capacity(2);
+      ensure_rack_capacity(2);
       std::vector<util::AdapterId> ids;
       ids.push_back(new_racked_adapter(
           node_id, dadmin,
@@ -365,7 +334,7 @@ void Farm::build_hierarchical() {
     // Workers: domain admin VLAN + the domain's data VLAN.
     for (int w = 0; w < spec_.workers_per_domain; ++w) {
       const util::NodeId node_id(static_cast<std::uint32_t>(index));
-      if (is_local(index)) ensure_rack_capacity(2);
+      ensure_rack_capacity(2);
       std::vector<util::AdapterId> ids;
       ids.push_back(new_racked_adapter(node_id, dadmin,
                                        make_ip(dadmin, host_on(dadmin)),
@@ -379,14 +348,11 @@ void Farm::build_hierarchical() {
 }
 
 void Farm::start() {
-  for (auto& daemon : daemons_)
-    if (daemon != nullptr) daemon->start();
+  for (auto& daemon : daemons_) daemon->start();
 }
 
 proto::GsDaemon& Farm::daemon(std::size_t node_index) {
   GS_CHECK(node_index < daemons_.size());
-  GS_CHECK_MSG(daemons_[node_index] != nullptr,
-               "node lives on another shard (ghost here)");
   return *daemons_[node_index];
 }
 
@@ -548,16 +514,12 @@ std::optional<std::size_t> Farm::expected_domain_gsc_node(
 
 void Farm::fail_node(std::size_t node_index) {
   GS_CHECK(node_index < daemons_.size());
-  GS_CHECK_MSG(daemons_[node_index] != nullptr,
-               "fault injection must target the node's home shard");
   daemons_[node_index]->halt();
   fabric_->fail_node(util::NodeId(static_cast<std::uint32_t>(node_index)));
 }
 
 void Farm::recover_node(std::size_t node_index) {
   GS_CHECK(node_index < daemons_.size());
-  GS_CHECK_MSG(daemons_[node_index] != nullptr,
-               "fault injection must target the node's home shard");
   fabric_->recover_node(util::NodeId(static_cast<std::uint32_t>(node_index)));
   daemons_[node_index]->resume();
 }
@@ -658,7 +620,7 @@ obs::FarmHealthSampler::Snapshot Farm::health_snapshot() {
   obs::FarmHealthSampler::Snapshot snapshot;
   for (std::size_t n = 0; n < daemons_.size(); ++n) {
     const auto& daemon = daemons_[n];
-    if (daemon == nullptr || daemon->halted()) continue;
+    if (daemon->halted()) continue;
     for (std::size_t i = 0; i < daemon->adapter_count(); ++i) {
       const proto::AdapterProtocol& proto = daemon->protocol(i);
       if (!proto.is_leader() || !proto.is_committed()) continue;
@@ -701,7 +663,6 @@ obs::FarmHealthSampler::Snapshot Farm::health_snapshot() {
     std::array<std::uint64_t, proto::WireStats::kTypeSlots> decoded{};
     std::array<std::uint64_t, proto::WireStats::kDropSlots> dropped{};
     for (const auto& daemon : daemons_) {
-      if (daemon == nullptr) continue;
       const proto::WireStats& stats = daemon->wire_stats();
       for (std::size_t t = 0; t < decoded.size(); ++t)
         decoded[t] += stats.decoded[t];

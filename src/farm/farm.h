@@ -29,26 +29,10 @@
 
 namespace gs::farm {
 
-// One shard's slice of a sharded deployment (see farm/sharded.h). Nodes are
-// partitioned round-robin: node i belongs to shard i % shards. The farm
-// still constructs EVERY node's adapters — ids, IPs, and ConfigDb contents
-// are global and must be identical on every shard — but only local nodes'
-// adapters are wired to switches, and only local nodes get transports,
-// daemons, and Central instances; remote nodes are inert ghosts whose
-// traffic arrives through the router. The default view (1 shard, no router)
-// is the classic whole-farm build, bit-identical to before sharding existed.
-struct ShardView {
-  std::size_t shard = 0;
-  std::size_t shards = 1;
-  net::ShardRouter* router = nullptr;  // non-owning; may be null
-};
-
 class Farm {
  public:
   Farm(sim::Simulator& sim, const FarmSpec& spec, const proto::Params& params,
        std::uint64_t seed);
-  Farm(sim::Simulator& sim, const FarmSpec& spec, const proto::Params& params,
-       std::uint64_t seed, const ShardView& view);
 
   Farm(const Farm&) = delete;
   Farm& operator=(const Farm&) = delete;
@@ -66,12 +50,6 @@ class Farm {
 
   // --- Nodes ------------------------------------------------------------------
   [[nodiscard]] std::size_t node_count() const { return daemons_.size(); }
-  // Does this farm instance own node_index (always true unsharded)?
-  [[nodiscard]] bool is_local(std::size_t node_index) const {
-    return node_index % view_.shards == view_.shard;
-  }
-  [[nodiscard]] const ShardView& shard_view() const { return view_; }
-  // Local nodes only; aborts for a remote ghost node.
   [[nodiscard]] proto::GsDaemon& daemon(std::size_t node_index);
   [[nodiscard]] NodeRole role(std::size_t node_index) const;
   [[nodiscard]] util::DomainId domain_of(std::size_t node_index) const;
@@ -193,7 +171,6 @@ class Farm {
   FarmSpec spec_;
   proto::Params params_;
   util::Rng rng_;
-  ShardView view_;
 
   std::unique_ptr<net::Fabric> fabric_;
   std::unique_ptr<net::SwitchConsole> console_;
@@ -223,10 +200,7 @@ class Farm {
   std::vector<std::unique_ptr<proto::DomainUplink>> uplinks_;
   std::vector<obs::Subscription> central_taps_;  // Central -> farm event bus
   std::unordered_map<util::AdapterId, std::pair<std::size_t, std::size_t>>
-      adapter_owner_;  // adapter -> (node index, adapter index); local only
-  // The VLAN each adapter was built for — for ghosts, whose vlan_of() is
-  // invalid (they are never wired), this is the db's expected_vlan source.
-  std::unordered_map<util::AdapterId, util::VlanId> planned_vlan_;
+      adapter_owner_;  // adapter -> (node index, adapter index)
 
   util::SwitchId current_switch_;
 };

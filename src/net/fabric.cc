@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "net/shard_router.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -125,18 +124,6 @@ const std::vector<util::AdapterId>& Fabric::vlan_members(
   static const std::vector<util::AdapterId> kEmpty;
   auto it = vlans_.find(vlan);
   return it == vlans_.end() ? kEmpty : it->second.members;
-}
-
-std::vector<util::VlanId> Fabric::indexed_vlans() const {
-  std::vector<util::VlanId> out;
-  for (const auto& [vlan, state] : vlans_)
-    if (!state.members.empty()) out.push_back(vlan);
-  return out;
-}
-
-void Fabric::set_shard_router(ShardRouter* router, std::size_t shard) {
-  router_ = router;
-  shard_id_ = shard;
 }
 
 bool Fabric::vlan_index_consistent() const {
@@ -382,18 +369,6 @@ bool Fabric::send(util::AdapterId from, util::IpAddress dst, Payload payload) {
   const auto target = find_by_ip(vlan, dst);
   if (!target || *target == from || !seg.connected(from, *target) ||
       !adapter(*target).can_recv()) {
-    // An IP with no local holder may live on another shard of this VLAN;
-    // hand the bytes to the router instead of declaring it unreachable. A
-    // *local* holder that is dead/partitioned stays a local non-delivery.
-    if (!target && router_ != nullptr &&
-        router_->spans_other_shards(shard_id_, vlan)) {
-      const std::span<const std::uint8_t> bytes = payload.bytes();
-      router_->forward(shard_id_,
-                       ForeignFrame{src.ip(), dst, /*multicast=*/false, vlan,
-                                    sim_.now(),
-                                    {bytes.begin(), bytes.end()}});
-      return true;
-    }
     load.frames_unreachable++;
     return true;  // the frame left the NIC; the sender cannot tell
   }
@@ -469,91 +444,9 @@ bool Fabric::multicast(util::AdapterId from, util::IpAddress group,
     }
     append_delivery(sim_.now() + *latency, pslot, id);
   }
-  // Receivers on other shards get the bytes (not the Payload) through the
-  // router's mailboxes; their shard samples loss/latency from its own fork
-  // of this VLAN's RNG stream.
-  if (router_ != nullptr && router_->spans_other_shards(shard_id_, vlan)) {
-    const std::span<const std::uint8_t> bytes = pending_[slot].dgram.bytes();
-    router_->forward(shard_id_,
-                     ForeignFrame{src.ip(), group, /*multicast=*/true, vlan,
-                                  sim_.now(), {bytes.begin(), bytes.end()}});
-  }
   flush_batches();
   if (pending_[slot].remaining == 0) release_frame(slot);
   return true;
-}
-
-void Fabric::deliver_foreign(const ForeignFrame& frame) {
-  GS_CHECK(frame.vlan.valid());
-  VlanState& state = vlans_[frame.vlan];
-  Segment& seg = segment_of(frame.vlan, state);
-  SegmentLoad& load = load_of(state);
-  // Born on this thread: Rep, decode cache, and eventually the free-list
-  // slot all stay local. The origin shard counted frames_sent; this side
-  // counts per-receiver outcomes, mirroring the local delivery paths.
-  Payload payload = Payload::copy_of(frame.bytes);
-
-  if (!frame.multicast) {
-    const auto target = find_by_ip(frame.vlan, frame.dst);
-    if (!target || !seg.connected(util::AdapterId::invalid(), *target) ||
-        !adapter(*target).can_recv()) {
-      load.frames_unreachable++;
-      return;
-    }
-    const auto latency = seg.sample_delivery();
-    if (!latency) {
-      load.frames_lost++;
-      return;
-    }
-    const std::uint32_t slot =
-        park_frame(Datagram{frame.src, frame.dst, /*multicast=*/false,
-                            frame.vlan, std::move(payload)},
-                   load);
-    pending_[slot].remaining = 1;
-    const util::AdapterId to = *target;
-    // Absolute time: latency >= base latency >= epoch puts this at or after
-    // now(); at() aborts otherwise, which is the epoch-contract tripwire.
-    sim_.at(frame.sent_at + *latency,
-            [this, slot, to] { complete_delivery(slot, to); });
-    return;
-  }
-
-  const std::uint32_t slot =
-      park_frame(Datagram{frame.src, frame.dst, /*multicast=*/true,
-                          frame.vlan, std::move(payload)},
-                 load);
-  util::SwitchId cached_sw = util::SwitchId::invalid();
-  bool cached_sw_failed = false;
-  for (util::AdapterId id : state.members) {
-    const Adapter& a = adapter(id);
-    if (a.attached_switch() != cached_sw) {
-      cached_sw = a.attached_switch();
-      cached_sw_failed = nic_switch(cached_sw).failed();
-    }
-    if (cached_sw_failed ||
-        !seg.connected(util::AdapterId::invalid(), id) || !a.can_recv()) {
-      load.frames_unreachable++;
-      continue;
-    }
-    const auto latency = seg.sample_delivery();
-    if (!latency) {
-      load.frames_lost++;
-      continue;
-    }
-    // Absolute time, like the foreign unicast path: latency >= base latency
-    // >= epoch keeps this at or after now() (the epoch-contract tripwire).
-    append_delivery(frame.sent_at + *latency, slot, id);
-  }
-  flush_batches();
-  if (pending_[slot].remaining == 0) release_frame(slot);
-}
-
-void Fabric::drop_in_flight() {
-  pending_.clear();
-  pending_free_.clear();
-  batches_.clear();
-  batch_free_.clear();
-  open_batches_.clear();
 }
 
 void Fabric::set_adapter_health(util::AdapterId id, HealthState health) {

@@ -34,9 +34,6 @@
 
 namespace gs::net {
 
-class ShardRouter;
-struct ForeignFrame;
-
 // Wire-load accounting for one VLAN, consumed by the scaling benches.
 struct SegmentLoad {
   std::uint64_t frames_sent = 0;     // wire occupancy (multicast counts once)
@@ -111,10 +108,6 @@ class Fabric {
   [[nodiscard]] const std::vector<util::AdapterId>& vlan_members(
       util::VlanId vlan) const;
 
-  // Every VLAN with at least one wired member, ascending — the shard
-  // router's registration input.
-  [[nodiscard]] std::vector<util::VlanId> indexed_vlans() const;
-
   // Recomputes wired membership from the switches and compares it with the
   // incremental index; tests call this after topology churn.
   [[nodiscard]] bool vlan_index_consistent() const;
@@ -147,27 +140,6 @@ class Fabric {
                  std::vector<std::uint8_t> bytes) {
     return multicast(from, group, make_payload(std::move(bytes)));
   }
-
-  // --- Sharding -----------------------------------------------------------
-
-  // Installs the cross-shard router (normally via ShardRouter::finalize).
-  // With no router installed — every single-shard run — the traffic paths
-  // are bit-identical to the unsharded fabric. Non-owning.
-  void set_shard_router(ShardRouter* router, std::size_t shard);
-  [[nodiscard]] std::size_t shard_id() const { return shard_id_; }
-
-  // Delivers a frame another shard forwarded here: rebuilds the payload from
-  // the copied bytes on this thread, then runs the normal receiver-side
-  // checks and channel sampling against the local segment. Deliveries land
-  // at sent_at + sampled_latency, which the epoch contract guarantees is not
-  // in this shard's past. Foreign senders sit in partition part 0 and are
-  // exempt from corruption injection (both documented in DESIGN.md).
-  void deliver_foreign(const ForeignFrame& frame);
-
-  // Drops every parked in-flight frame without delivering it. Teardown only
-  // (after the simulator's queue is cleared), on the owning thread, so the
-  // payloads die in their home pool.
-  void drop_in_flight();
 
   // --- Fault injection ----------------------------------------------------
 
@@ -284,9 +256,9 @@ class Fabric {
   // duplicates are representable because misconfiguration is a scenario
   // the verifier must be able to express).
   std::unordered_map<std::uint32_t, std::vector<util::AdapterId>> by_ip_;
-  // Ordered: sample_loads() and indexed_vlans() walk VLANs ascending (trace
-  // digests depend on it), and nodes stay put for PendingFrame::load. Keyed
-  // rather than dense because scripts may name any VLAN id.
+  // Ordered: sample_loads() walks VLANs ascending (trace digests depend on
+  // it), and nodes stay put for PendingFrame::load. Keyed rather than dense
+  // because scripts may name any VLAN id.
   std::map<util::VlanId, VlanState> vlans_;
   std::map<std::uint16_t, std::uint64_t> frames_by_type_;
   std::uint64_t total_frames_sent_ = 0;
@@ -336,10 +308,6 @@ class Fabric {
   obs::TraceBus* trace_ = nullptr;
   sim::SimDuration load_sample_period_ = 0;
   sim::Timer load_sample_timer_;
-
-  // Cross-shard handoff; null in every single-shard run.
-  ShardRouter* router_ = nullptr;
-  std::size_t shard_id_ = 0;
 };
 
 }  // namespace gs::net

@@ -12,26 +12,8 @@ namespace {
 constexpr std::size_t kMaxPooledReps = 1024;
 
 thread_local bool g_cache_enabled = true;
-thread_local int g_foreign_release_depth = 0;
-thread_local int g_unowned_creation_depth = 0;
 
 }  // namespace
-
-Payload::ForeignReleaseScope::ForeignReleaseScope() {
-  ++g_foreign_release_depth;
-}
-
-Payload::ForeignReleaseScope::~ForeignReleaseScope() {
-  --g_foreign_release_depth;
-}
-
-Payload::UnownedCreationScope::UnownedCreationScope() {
-  ++g_unowned_creation_depth;
-}
-
-Payload::UnownedCreationScope::~UnownedCreationScope() {
-  --g_unowned_creation_depth;
-}
 
 struct Payload::RepPool {
   std::vector<Rep*> free;
@@ -47,11 +29,6 @@ Payload::RepPool& Payload::pool() {
 }
 
 Payload::Rep* Payload::acquire() {
-  if (g_unowned_creation_depth > 0) {
-    // Unowned rep: belongs to no thread's pool, deletable anywhere. Bypass
-    // the pool both ways — a pooled rep carries this thread's ownership.
-    return new Rep();  // owner stays the default "no thread" id
-  }
   auto& free = pool().free;
   if (!free.empty()) {
     Rep* rep = free.back();
@@ -65,10 +42,6 @@ Payload::Rep* Payload::acquire() {
 }
 
 void Payload::recycle(Rep* rep) {
-  if (rep->owner == std::thread::id()) {  // unowned: any thread may delete
-    delete rep;
-    return;
-  }
   if (rep->owner != std::this_thread::get_id()) {
     // Foreign release: the non-atomic refcount already made this a contract
     // violation, so be loud where we can watch for races (debug, TSan) and
@@ -76,9 +49,9 @@ void Payload::recycle(Rep* rep) {
     // Rep off this thread's free list, where a later acquire() would hand
     // out memory another thread may still be scrubbing.
 #if GS_PAYLOAD_OWNER_CHECK
-    GS_CHECK_MSG(g_foreign_release_depth > 0,
+    GS_CHECK_MSG(false,
                  "Payload released on a thread other than its owner; "
-                 "cross-shard frames must be deep-copied (see ShardRouter)");
+                 "each thread must drive its own Farm");
 #endif
     delete rep;
     return;

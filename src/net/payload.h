@@ -16,18 +16,15 @@
 // state sends and receives without touching the heap. Larger payloads spill
 // into a std::vector that is retained across recycles, amortising to zero
 // as well. The refcount is non-atomic: each simulation is single-threaded
-// and parallel harnesses (soak runner, bench trials, the sharded driver)
-// give every thread its own Farm, so a Rep never crosses threads. Sharded
-// runs enforce this by deep-copying frame bytes at shard boundaries (see
-// net::ShardRouter) and rebuilding the Payload on the destination thread.
+// and parallel harnesses (soak runner, bench trials) give every thread its
+// own Farm, so a Rep never crosses threads.
 //
 // Each Rep remembers the thread that allocated it. Releasing the last
 // reference on a different thread is a contract violation — the decrement
 // itself raced, and pooling the Rep would plant it on the wrong thread-local
-// free list. Debug and TSan builds abort on such a release (opt out with
-// ForeignReleaseScope for controlled teardown paths); release builds delete
-// the Rep instead of pooling it, so a foreign release that happened to be
-// benign at least cannot corrupt a free list.
+// free list. Debug and TSan builds abort on such a release; release builds
+// delete the Rep instead of pooling it, so a foreign release that happened
+// to be benign at least cannot corrupt a free list.
 #pragma once
 
 #include <cstdint>
@@ -188,34 +185,6 @@ class Payload {
   // Thread-local rep pool introspection / reset (tests and benches).
   [[nodiscard]] static std::size_t pool_size();
   static void trim_pool();
-
-  // Suspends the owner-thread abort (debug/TSan builds) on the current
-  // thread for releases that are foreign by construction but provably
-  // unracing — e.g. a teardown path destroying a quiesced shard's leftovers.
-  // The release still bypasses the pool and deletes the Rep.
-  class ForeignReleaseScope {
-   public:
-    ForeignReleaseScope();
-    ~ForeignReleaseScope();
-    ForeignReleaseScope(const ForeignReleaseScope&) = delete;
-    ForeignReleaseScope& operator=(const ForeignReleaseScope&) = delete;
-  };
-
-  // Payloads created inside this scope are UNOWNED: never pooled, released
-  // (heap-deleted) on any thread without tripping the owner check. For
-  // control-plane calls that inject frames into a quiesced shard from the
-  // driving thread — e.g. ShardedFarm::fail_node sending from the caller
-  // while the shard's worker is parked at the epoch barrier, with the frame
-  // delivered (and its payload released) later on that worker. The barrier
-  // provides the happens-before; this scope tells the ownership check the
-  // cross-thread release is by construction, not a race.
-  class UnownedCreationScope {
-   public:
-    UnownedCreationScope();
-    ~UnownedCreationScope();
-    UnownedCreationScope(const UnownedCreationScope&) = delete;
-    UnownedCreationScope& operator=(const UnownedCreationScope&) = delete;
-  };
 
  private:
   struct Rep {

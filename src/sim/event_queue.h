@@ -80,14 +80,8 @@ class EventQueue {
 
   // Time of the earliest pending (non-cancelled) event. Requires !empty().
   // Const peek: the result is memoized, so back-to-back peeks are O(1); the
-  // wheel itself is not restructured (see skim()).
+  // wheel itself is not restructured.
   [[nodiscard]] SimTime next_time() const;
-
-  // Explicitly compacts the pop cursor's bucket (dropping popped and stale
-  // entries and restoring sorted order). pop() does this implicitly; exposed
-  // so callers that mostly peek — the shard barrier — can pay the cleanup
-  // cost at a chosen point rather than inside a const scan.
-  void skim() { prepare_current(); }
 
   // Removes and returns the earliest pending event. Requires !empty().
   std::pair<SimTime, std::function<void()>> pop();

@@ -64,11 +64,6 @@ class HeapEventQueue {
   // storage (logical constness — the pop order is unaffected).
   [[nodiscard]] SimTime next_time() const;
 
-  // Explicitly drops stale entries off the heap top. next_time()/pop() do
-  // this implicitly; exposed so callers holding a const reference can pay
-  // the cleanup cost at a chosen point.
-  void skim() { skim_stale(); }
-
   // Removes and returns the earliest pending event. Requires !empty().
   std::pair<SimTime, std::function<void()>> pop();
 

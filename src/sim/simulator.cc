@@ -34,20 +34,6 @@ std::size_t Simulator::run_until(SimTime deadline) {
   return n;
 }
 
-std::size_t Simulator::run_window(SimTime end) {
-  GS_CHECK_MSG(end >= now_, "epoch window ends in the past");
-  std::size_t n = 0;
-  while (!queue_.empty() && queue_.next_time() < end) {
-    auto [when, fn] = queue_.pop();
-    now_ = when;
-    fn();
-    ++executed_;
-    ++n;
-  }
-  now_ = end;
-  return n;
-}
-
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto [when, fn] = queue_.pop();

