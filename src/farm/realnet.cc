@@ -17,9 +17,9 @@ RealFarm::RealFarm(Options opts)
 }
 
 RealFarm::~RealFarm() {
-  // Daemons and Centrals cancel their own timers in their destructors (and
-  // fire-and-forget callbacks hold life tokens), but be explicit about the
-  // contract anyway: after this point nothing may fire.
+  // Daemons and Centrals cancel their own timers in their destructors, but
+  // be explicit about the contract anyway: after this point nothing may
+  // fire.
   daemons_.clear();
   nodes_.clear();
   clock_.cancel_all();

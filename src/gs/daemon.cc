@@ -46,8 +46,7 @@ GsDaemon::GsDaemon(Options opts)
       rng_(opts.rng),
       central_(opts.central),
       root_central_(opts.root_central),
-      uplink_index_(opts.uplink_adapter_index),
-      alive_(std::make_shared<GsDaemon*>(this)) {
+      uplink_index_(opts.uplink_adapter_index) {
   GS_CHECK_MSG(opts.clock != nullptr && opts.transport != nullptr &&
                    opts.params != nullptr,
                "GsDaemon::Options requires clock, transport, and params");
@@ -105,7 +104,8 @@ GsDaemon::GsDaemon(Options opts)
 }
 
 GsDaemon::~GsDaemon() {
-  alive_.reset();  // voids in-flight skew / processing-delay callbacks
+  start_timer_.cancel();
+  for (PendingDispatch& pending : dispatch_pool_) pending.timer.cancel();
   report_retry_timer_.cancel();
   report_refresh_timer_.cancel();
   if (started_) {
@@ -135,19 +135,16 @@ void GsDaemon::start() {
   started_ = true;
   const sim::SimDuration skew =
       params_.start_skew_max > 0 ? rng_.range(0, params_.start_skew_max) : 0;
-  // Fire-and-forget (no Timer member): guard with the life token so a
-  // daemon destroyed mid-skew never starts into freed memory.
-  sim_.after(skew, [self = std::weak_ptr<GsDaemon*>(alive_)] {
-    const auto locked = self.lock();
-    if (!locked) return;
-    GsDaemon* d = *locked;
-    for (std::size_t i = 0; i < d->protocols_.size(); ++i) {
-      d->transport_.set_receive_handler(
-          i, [d, i](const net::Datagram& dgram) { d->on_datagram(i, dgram); });
-      if (!d->halted_) d->protocols_[i]->start();
-    }
-    if (!d->halted_) d->arm_report_refresh();
-  });
+  start_timer_ = sim_.after(skew, [this] { on_started(); });
+}
+
+void GsDaemon::on_started() {
+  for (std::size_t i = 0; i < protocols_.size(); ++i) {
+    transport_.set_receive_handler(
+        i, [this, i](const net::Datagram& dgram) { on_datagram(i, dgram); });
+    if (!halted_) protocols_[i]->start();
+  }
+  if (!halted_) arm_report_refresh();
 }
 
 void GsDaemon::halt() {
@@ -182,13 +179,28 @@ void GsDaemon::on_datagram(std::size_t index, const net::Datagram& dgram) {
     delay = static_cast<sim::SimDuration>(
         rng_.exponential(static_cast<double>(params_.proc_delay_mean)));
   }
-  // Fire-and-forget: the life token voids the dispatch if the daemon is
-  // destroyed while the processing delay is pending.
-  sim_.after(delay,
-             [self = std::weak_ptr<GsDaemon*>(alive_), index, dgram] {
-               if (const auto locked = self.lock())
-                 (*locked)->dispatch(index, dgram);
-             });
+  std::uint32_t slot;
+  if (dispatch_free_.empty()) {
+    slot = static_cast<std::uint32_t>(dispatch_pool_.size());
+    dispatch_pool_.emplace_back();
+  } else {
+    slot = dispatch_free_.back();
+    dispatch_free_.pop_back();
+  }
+  PendingDispatch& pending = dispatch_pool_[slot];
+  pending.dgram = dgram;
+  pending.index = static_cast<std::uint32_t>(index);
+  pending.timer = sim_.after(delay, [this, slot] { fire_dispatch(slot); });
+}
+
+void GsDaemon::fire_dispatch(std::uint32_t slot) {
+  // Take the datagram and free the slot first: the handlers below may
+  // receive again and grow (reallocate) the pool.
+  PendingDispatch& pending = dispatch_pool_[slot];
+  const std::size_t index = pending.index;
+  const net::Datagram dgram = std::move(pending.dgram);
+  dispatch_free_.push_back(slot);
+  dispatch(index, dgram);
 }
 
 void GsDaemon::dispatch(std::size_t index, const net::Datagram& dgram) {

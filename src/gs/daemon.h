@@ -119,10 +119,10 @@ class GsDaemon {
   GsDaemon(const GsDaemon&) = delete;
   GsDaemon& operator=(const GsDaemon&) = delete;
 
-  // Cancels every daemon-held timer and unhooks the transport's receive
-  // handlers. In-flight start-skew / processing-delay callbacks hold a weak
-  // life token and become no-ops — a daemon destroyed with timers in flight
-  // never fires into a dead transport.
+  // Cancels every daemon-held timer — the start skew, each pending
+  // processing-delay dispatch, the report timers — and unhooks the
+  // transport's receive handlers, so a daemon destroyed with timers in
+  // flight never fires into freed memory or a dead transport.
   ~GsDaemon();
 
   // Begins operation after the modelled start-up skew.
@@ -167,6 +167,16 @@ class GsDaemon {
   [[nodiscard]] std::uint64_t reports_sent() const { return reports_sent_; }
   [[nodiscard]] const WireStats& wire_stats() const { return wire_stats_; }
 
+  // Processing-delay pool occupancy: datagrams waiting out their delay now,
+  // and the slots allocated. The pool grows only when every slot is busy,
+  // so its size is the in-flight high-water mark.
+  [[nodiscard]] std::size_t dispatches_in_flight() const {
+    return dispatch_pool_.size() - dispatch_free_.size();
+  }
+  [[nodiscard]] std::size_t dispatch_slots() const {
+    return dispatch_pool_.size();
+  }
+
  private:
   struct OutstandingReport {
     std::uint64_t seq = 0;
@@ -174,7 +184,9 @@ class GsDaemon {
     net::Payload frame;  // encoded once; retries share the same bytes
   };
 
+  void on_started();
   void on_datagram(std::size_t index, const net::Datagram& dgram);
+  void fire_dispatch(std::uint32_t slot);
   void dispatch(std::size_t index, const net::Datagram& dgram);
   void handle_report_frame(util::IpAddress src, const MembershipReport& rep);
   void handle_report_ack(const ReportAck& ack);
@@ -204,9 +216,19 @@ class GsDaemon {
   DomainUplink* uplink_ = nullptr;
   std::optional<std::size_t> uplink_index_;
 
-  // Life token for fire-and-forget callbacks (start skew, per-message
-  // processing delay): they hold a weak_ptr and no-op once this resets.
-  std::shared_ptr<GsDaemon*> alive_;
+  // Every callback the daemon schedules is a Timer it owns and cancels on
+  // destruction. The start skew has one; each datagram waiting out its
+  // processing delay sits in a recycled pool slot with its own, and the
+  // scheduled callback captures only {this, slot}, which fits
+  // std::function's inline buffer: no allocation per delivery.
+  sim::Timer start_timer_;
+  struct PendingDispatch {
+    net::Datagram dgram;
+    sim::Timer timer;
+    std::uint32_t index = 0;  // receiving port
+  };
+  std::vector<PendingDispatch> dispatch_pool_;
+  std::vector<std::uint32_t> dispatch_free_;
 
   util::IpAddress last_gsc_;
   util::IpAddress last_root_;

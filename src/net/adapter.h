@@ -41,10 +41,6 @@ class Adapter {
 
   [[nodiscard]] util::SwitchId attached_switch() const { return switch_; }
   [[nodiscard]] util::PortId attached_port() const { return port_; }
-  void attach(util::SwitchId sw, util::PortId port) {
-    switch_ = sw;
-    port_ = port;
-  }
 
   [[nodiscard]] HealthState health() const { return health_; }
   void set_health(HealthState h) { health_ = h; }
@@ -70,9 +66,14 @@ class Adapter {
   }
 
  private:
-  friend class Fabric;  // IP changes go through Fabric::set_adapter_ip so
-                        // the fabric's ip -> adapter index stays coherent.
+  // IP and wiring changes go through Fabric (set_adapter_ip, attach) so its
+  // ip -> adapter index and stored VLANs stay coherent.
+  friend class Fabric;
   void set_ip(util::IpAddress ip) { ip_ = ip; }
+  void attach(util::SwitchId sw, util::PortId port) {
+    switch_ = sw;
+    port_ = port;
+  }
 
   util::AdapterId id_;
   util::NodeId node_;

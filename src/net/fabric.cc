@@ -30,17 +30,20 @@ util::AdapterId Fabric::add_adapter(util::NodeId node) {
   const util::AdapterId id(static_cast<std::uint32_t>(adapters_.size()));
   const util::MacAddress mac(0x02'00'00'00'00'00ull + id.value());
   adapters_.push_back(std::make_unique<Adapter>(id, node, mac));
+  wiring_.emplace_back();
   return id;
 }
 
 void Fabric::attach(util::AdapterId adapter_id, util::SwitchId sw,
                     util::PortId port, util::VlanId vlan) {
   Adapter& a = adapter(adapter_id);
-  Switch& s = nic_switch(sw);
+  Switch& s = mutable_switch(sw);
   s.connect(port, adapter_id, vlan);
   a.attach(sw, port);
   index_add(vlan, adapter_id);
   (void)segment(vlan);  // materialize the segment with the default model
+  refresh_wiring(adapter_id);
+  topology_changed();
 }
 
 void Fabric::attach(util::AdapterId adapter_id, util::SwitchId sw,
@@ -60,7 +63,7 @@ const Adapter& Fabric::adapter(util::AdapterId id) const {
   return *adapters_[id.value()];
 }
 
-Switch& Fabric::nic_switch(util::SwitchId id) {
+Switch& Fabric::mutable_switch(util::SwitchId id) {
   GS_CHECK(id.valid() && id.value() < switches_.size());
   return *switches_[id.value()];
 }
@@ -104,11 +107,22 @@ std::vector<util::AdapterId> Fabric::node_adapters(util::NodeId node) const {
 }
 
 util::VlanId Fabric::vlan_of(util::AdapterId id) const {
+  GS_CHECK(id.valid() && id.value() < wiring_.size());
+  return wiring_[id.value()].vlan;
+}
+
+void Fabric::refresh_wiring(util::AdapterId id) {
   const Adapter& a = adapter(id);
-  if (!a.attached_switch().valid()) return util::VlanId::invalid();
+  Wiring& w = wiring_[id.value()];
+  if (!a.attached_switch().valid()) {
+    w.vlan = util::VlanId::invalid();
+    w.state = nullptr;
+    return;
+  }
   const Switch& s = nic_switch(a.attached_switch());
-  if (s.failed()) return util::VlanId::invalid();
-  return s.port_vlan(a.attached_port());
+  const util::VlanId port_vlan = s.port_vlan(a.attached_port());
+  w.state = &vlans_[port_vlan];
+  w.vlan = s.failed() ? util::VlanId::invalid() : port_vlan;
 }
 
 std::vector<util::AdapterId> Fabric::adapters_in_vlan(
@@ -147,6 +161,21 @@ bool Fabric::vlan_index_consistent() const {
   }
   for (const auto& [vlan, members] : truth)
     if (!members.empty()) return false;
+  // Every stored VLAN against the adapter -> switch -> port chain.
+  for (const auto& a : adapters_) {
+    const Wiring& w = wiring_[a->id().value()];
+    if (!a->attached_switch().valid()) {
+      if (w.vlan.valid() || w.state != nullptr) return false;
+      continue;
+    }
+    const Switch& s = nic_switch(a->attached_switch());
+    if (s.port_adapter(a->attached_port()) != a->id()) return false;
+    const util::VlanId port_vlan = s.port_vlan(a->attached_port());
+    auto it = vlans_.find(port_vlan);
+    if (it == vlans_.end() || w.state != &it->second) return false;
+    if (w.vlan != (s.failed() ? util::VlanId::invalid() : port_vlan))
+      return false;
+  }
   return true;
 }
 
@@ -172,13 +201,9 @@ bool Fabric::reachable(util::AdapterId from, util::AdapterId to) const {
   const Adapter& src = adapter(from);
   const Adapter& dst = adapter(to);
   if (!src.can_send() || !dst.can_recv()) return false;
-  const util::VlanId vlan = vlan_of(from);
-  if (!vlan.valid() || vlan_of(to) != vlan) return false;
-  auto it = vlans_.find(vlan);
-  if (it != vlans_.end() && it->second.segment &&
-      !it->second.segment->connected(from, to))
-    return false;
-  return true;
+  const Wiring& w = wiring_[from.value()];
+  if (!w.vlan.valid() || vlan_of(to) != w.vlan) return false;
+  return !w.state->segment || w.state->segment->connected(from, to);
 }
 
 void Fabric::set_adapter_ip(util::AdapterId id, util::IpAddress ip) {
@@ -191,6 +216,7 @@ void Fabric::set_adapter_ip(util::AdapterId id, util::IpAddress ip) {
   }
   a.set_ip(ip);
   if (!ip.is_unspecified()) by_ip_[ip.bits()].push_back(id);
+  topology_changed();
 }
 
 std::optional<util::AdapterId> Fabric::find_by_ip(util::VlanId vlan,
@@ -203,6 +229,22 @@ std::optional<util::AdapterId> Fabric::find_by_ip(util::VlanId vlan,
   for (util::AdapterId id : it->second)
     if (vlan_of(id) == vlan && (!best || id < *best)) best = id;
   return best;
+}
+
+util::AdapterId Fabric::resolve_unicast(Wiring& w, util::IpAddress dst) {
+  if (w.memo_gen != topology_gen_) {
+    w.memo_gen = topology_gen_;
+    w.memo = {};
+  }
+  const std::uint32_t bits = dst.bits();
+  if (w.memo[0].ip == bits) return w.memo[0].to;
+  if (w.memo[1].ip == bits) {
+    std::swap(w.memo[0], w.memo[1]);
+    return w.memo[0].to;
+  }
+  w.memo[1] = w.memo[0];
+  w.memo[0] = {bits, find_by_ip(w.vlan, dst).value_or(util::AdapterId::invalid())};
+  return w.memo[0].to;
 }
 
 std::uint16_t Fabric::peek_frame_type(
@@ -250,7 +292,7 @@ void Fabric::complete_delivery(std::uint32_t slot, util::AdapterId to) {
   const Adapter& dst = adapter(to);
   // Re-check at delivery time: the receiver may have died or been moved
   // to another VLAN while the frame was in flight.
-  if (!dst.can_recv() || vlan_of(to) != dgram.vlan) {
+  if (!dst.can_recv() || wiring_[to.value()].vlan != dgram.vlan) {
     load.frames_unreachable++;
   } else {
     load.frames_delivered++;
@@ -360,15 +402,18 @@ void Fabric::run_batch(std::uint32_t b) {
 
 bool Fabric::send(util::AdapterId from, util::IpAddress dst, Payload payload) {
   const Adapter& src = adapter(from);
-  const util::VlanId vlan = vlan_of(from);
+  Wiring& w = wiring_[from.value()];
+  const util::VlanId vlan = w.vlan;
   if (!src.can_send() || !vlan.valid()) return false;
 
-  VlanState& state = vlans_[vlan];
+  VlanState& state = *w.state;
   SegmentLoad& load = account_sent(state, payload);
   Segment& seg = segment_of(vlan, state);
-  const auto target = find_by_ip(vlan, dst);
-  if (!target || *target == from || !seg.connected(from, *target) ||
-      !adapter(*target).can_recv()) {
+  // The memo answers exactly what find_by_ip() would: partitions and
+  // health are not part of it and are checked here on every send.
+  const util::AdapterId to = resolve_unicast(w, dst);
+  if (!to.valid() || to == from || !seg.connected(from, to) ||
+      !adapter(to).can_recv()) {
     load.frames_unreachable++;
     return true;  // the frame left the NIC; the sender cannot tell
   }
@@ -389,7 +434,6 @@ bool Fabric::send(util::AdapterId from, util::IpAddress dst, Payload payload) {
     slot = corrupted;
   }
   pending_[slot].remaining = 1;
-  const util::AdapterId to = *target;
   sim_.after(*latency, [this, slot, to] { complete_delivery(slot, to); });
   return true;
 }
@@ -397,10 +441,11 @@ bool Fabric::send(util::AdapterId from, util::IpAddress dst, Payload payload) {
 bool Fabric::multicast(util::AdapterId from, util::IpAddress group,
                        Payload payload) {
   const Adapter& src = adapter(from);
-  const util::VlanId vlan = vlan_of(from);
+  const Wiring& w = wiring_[from.value()];
+  const util::VlanId vlan = w.vlan;
   if (!src.can_send() || !vlan.valid()) return false;
 
-  VlanState& state = vlans_[vlan];
+  VlanState& state = *w.state;
   // Broadcast medium: one frame on the wire whatever the fan-out.
   SegmentLoad& load = account_sent(state, payload);
   Segment& seg = segment_of(vlan, state);
@@ -410,21 +455,16 @@ bool Fabric::multicast(util::AdapterId from, util::IpAddress group,
       Datagram{src.ip(), group, /*multicast=*/true, vlan, std::move(payload)},
       load);
   const bool may_corrupt = seg.model().corrupt_probability > 0;
-  // Consecutive members usually share a switch; cache the liveness lookup.
-  util::SwitchId cached_sw = util::SwitchId::invalid();
-  bool cached_sw_failed = false;
   // Only this VLAN's wired members — not the whole farm. Receivers the
   // frame cannot reach (dead switch, partition, dead adapter) count as
   // unreachable, exactly as the unicast path counts them; only members
-  // rewired to another VLAN are out of scope entirely.
+  // rewired to another VLAN are out of scope entirely. A member's port is
+  // in `vlan`, so its stored VLAN differs only while its switch is dead.
   for (util::AdapterId id : state.members) {
     if (id == from) continue;
     const Adapter& a = adapter(id);
-    if (a.attached_switch() != cached_sw) {
-      cached_sw = a.attached_switch();
-      cached_sw_failed = nic_switch(cached_sw).failed();
-    }
-    if (cached_sw_failed || !seg.connected(from, id) || !a.can_recv()) {
+    if (wiring_[id.value()].vlan != vlan || !seg.connected(from, id) ||
+        !a.can_recv()) {
       load.frames_unreachable++;
       continue;
     }
@@ -478,10 +518,16 @@ void Fabric::recover_node(util::NodeId node) {
     set_adapter_health(id, HealthState::kUp);
 }
 
-void Fabric::fail_switch(util::SwitchId id) { nic_switch(id).set_failed(true); }
+void Fabric::fail_switch(util::SwitchId id) { set_switch_failed(id, true); }
 
-void Fabric::recover_switch(util::SwitchId id) {
-  nic_switch(id).set_failed(false);
+void Fabric::recover_switch(util::SwitchId id) { set_switch_failed(id, false); }
+
+void Fabric::set_switch_failed(util::SwitchId id, bool failed) {
+  Switch& s = mutable_switch(id);
+  if (s.failed() == failed) return;
+  s.set_failed(failed);
+  for (util::AdapterId a : s.wired_adapters()) refresh_wiring(a);
+  topology_changed();
 }
 
 void Fabric::partition_vlan(
@@ -493,13 +539,15 @@ void Fabric::heal_vlan(util::VlanId vlan) { segment(vlan).heal(); }
 
 void Fabric::set_port_vlan(util::SwitchId sw, util::PortId port,
                            util::VlanId vlan) {
-  Switch& s = nic_switch(sw);
+  Switch& s = mutable_switch(sw);
   const util::VlanId old_vlan = s.port_vlan(port);
   s.set_port_vlan(port, vlan);
   const util::AdapterId wired = s.port_adapter(port);
   if (wired.valid() && old_vlan != vlan) {
     index_remove(old_vlan, wired);
     index_add(vlan, wired);
+    refresh_wiring(wired);
+    topology_changed();
   }
   (void)segment(vlan);  // ensure the segment exists
 }

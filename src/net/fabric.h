@@ -80,7 +80,8 @@ class Fabric {
 
   [[nodiscard]] Adapter& adapter(util::AdapterId id);
   [[nodiscard]] const Adapter& adapter(util::AdapterId id) const;
-  [[nodiscard]] Switch& nic_switch(util::SwitchId id);
+  // Read-only: wiring and switch state change only through Fabric's own
+  // methods, which keep the stored VLANs and the member index current.
   [[nodiscard]] const Switch& nic_switch(util::SwitchId id) const;
   [[nodiscard]] Segment& segment(util::VlanId vlan);
 
@@ -92,7 +93,7 @@ class Fabric {
       util::NodeId node) const;
 
   // The VLAN an adapter currently lives on; invalid if its switch is dead or
-  // it is unwired.
+  // it is unwired. One load: the value is stored when wiring changes.
   [[nodiscard]] util::VlanId vlan_of(util::AdapterId id) const;
 
   // Ground truth for tests/verification: adapters wired into `vlan` through
@@ -108,8 +109,9 @@ class Fabric {
   [[nodiscard]] const std::vector<util::AdapterId>& vlan_members(
       util::VlanId vlan) const;
 
-  // Recomputes wired membership from the switches and compares it with the
-  // incremental index; tests call this after topology churn.
+  // Recomputes wired membership and every adapter's VLAN from the switch
+  // tables and compares them with the incremental index and the stored
+  // VLANs; tests call this after topology churn.
   [[nodiscard]] bool vlan_index_consistent() const;
 
   // Could a frame from `from` reach `to` right now (wiring, partitions,
@@ -185,6 +187,9 @@ class Fabric {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
  private:
+  [[nodiscard]] Switch& mutable_switch(util::SwitchId id);
+  void set_switch_failed(util::SwitchId id, bool failed);
+
   // One in-flight frame, parked once per send/multicast in a recycled pool
   // and shared by every receiver still due to get it. The per-receiver sim
   // event captures only {this, slot, to} — 16 bytes, inside std::function's
@@ -246,19 +251,48 @@ class Fabric {
     return state.load;
   }
 
+  // Per-adapter routing record, indexed by AdapterId.
+  struct Wiring {
+    // What vlan_of() returns: the port's VLAN while the switch is up.
+    util::VlanId vlan;
+    // The port's VLAN record (null while unwired), kept while the switch is
+    // down. vlans_ nodes never move, so the pointer stays valid.
+    VlanState* state = nullptr;
+    // The sender's last two unicast resolutions, most recent first, valid
+    // while memo_gen == topology_gen_. An entry maps a destination's IP bits
+    // to find_by_ip()'s answer (invalid for none); {0, invalid} is always
+    // true, as no adapter holds the unspecified address.
+    struct Resolved {
+      std::uint32_t ip = 0;
+      util::AdapterId to;
+    };
+    std::uint64_t memo_gen = 0;
+    std::array<Resolved, 2> memo{};
+  };
+  // Re-reads an adapter's record from its switch and port.
+  void refresh_wiring(util::AdapterId id);
+  // Anything that can change a find_by_ip() answer (IP assignment, port
+  // VLAN, switch state, new wiring) calls this; it voids every memo.
+  void topology_changed() { ++topology_gen_; }
+  // find_by_ip(w.vlan, dst) for sender record `w`, through its memo.
+  [[nodiscard]] util::AdapterId resolve_unicast(Wiring& w, util::IpAddress dst);
+
   sim::Simulator& sim_;
   util::Rng rng_;
   ChannelModel default_channel_;
 
   std::vector<std::unique_ptr<Adapter>> adapters_;
+  std::vector<Wiring> wiring_;  // parallel to adapters_
+  std::uint64_t topology_gen_ = 1;  // memos start stale (memo_gen 0)
   std::vector<std::unique_ptr<Switch>> switches_;
   // ip bits -> adapters currently holding that ip (normally exactly one;
   // duplicates are representable because misconfiguration is a scenario
   // the verifier must be able to express).
   std::unordered_map<std::uint32_t, std::vector<util::AdapterId>> by_ip_;
   // Ordered: sample_loads() walks VLANs ascending (trace digests depend on
-  // it), and nodes stay put for PendingFrame::load. Keyed rather than dense
-  // because scripts may name any VLAN id.
+  // it), and nodes stay put for PendingFrame::load and Wiring::state (no
+  // entry is ever erased). Keyed rather than dense because scripts may name
+  // any VLAN id.
   std::map<util::VlanId, VlanState> vlans_;
   std::map<std::uint16_t, std::uint64_t> frames_by_type_;
   std::uint64_t total_frames_sent_ = 0;

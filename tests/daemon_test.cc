@@ -2,9 +2,14 @@
 // admin-adapter convention, halt/resume, and frame validation.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "farm/farm.h"
 #include "farm/scenario.h"
 #include "net/fabric.h"
+#include "net/fabric_transport.h"
+#include "obs/trace.h"
 #include "wire/frame.h"
 
 namespace gs::proto {
@@ -180,6 +185,88 @@ TEST_F(DaemonTest, LoopbackReportWhenGscHostsLeaders) {
   for (const auto& group : central->groups())
     EXPECT_EQ(group.leader.node, util::NodeId(2));
   EXPECT_EQ(central->known_adapter_count(), 6u);
+}
+
+// --- Processing-delay hop: teardown and pool bounds ---------------------------
+
+// Destroying a daemon over the simulated fabric while datagrams still wait
+// out their processing delay must cancel those dispatches: running the
+// simulator past every deadline afterwards runs none of them (no trace
+// record from the dead daemon's adapter; ASan would flag the freed daemon),
+// while the surviving daemons keep exchanging frames.
+TEST(DaemonTeardownTest, PendingDispatchesNeverRunAfterDestruction) {
+  obs::TraceBus bus;
+  Params params = quick_params();
+  params.proc_delay_mean = sim::milliseconds(5);
+  params.trace = &bus;
+
+  sim::Simulator sim;
+  net::Fabric fabric(sim, util::Rng(5));
+  const util::SwitchId sw = fabric.add_switch(8);
+  std::vector<std::unique_ptr<net::FabricTransport>> transports;
+  std::vector<std::unique_ptr<GsDaemon>> daemons;
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    const util::AdapterId id = fabric.add_adapter(util::NodeId(n));
+    fabric.attach(id, sw, util::VlanId(1));
+    fabric.set_adapter_ip(
+        id, util::IpAddress(10, 0, 0, static_cast<std::uint8_t>(n + 1)));
+    transports.push_back(std::make_unique<net::FabricTransport>(
+        fabric, std::vector<util::AdapterId>{id}));
+    GsDaemon::Options opts;
+    opts.clock = &sim;
+    opts.transport = transports.back().get();
+    opts.params = &params;
+    opts.node.node = util::NodeId(n);
+    opts.node.name = "teardown-" + std::to_string(n);
+    opts.rng = util::Rng(100 + n);
+    daemons.push_back(std::make_unique<GsDaemon>(std::move(opts)));
+  }
+  for (auto& daemon : daemons) daemon->start();
+
+  GsDaemon& victim = *daemons[0];
+  const util::IpAddress victim_ip = transports[0]->local_ip(0);
+  for (int i = 0; i < 200000 && victim.dispatches_in_flight() < 2; ++i)
+    ASSERT_TRUE(sim.step());
+  ASSERT_GE(victim.dispatches_in_flight(), 2u);
+
+  std::uint64_t from_victim = 0;
+  auto tap = bus.subscribe([&](const obs::TraceRecord& record) {
+    if (record.source == victim_ip) ++from_victim;
+  });
+  const std::uint64_t survivor_decoded =
+      daemons[1]->wire_stats().total_decoded();
+  daemons[0].reset();
+  sim.run_until(sim.now() + sim::seconds(10));
+  EXPECT_EQ(from_victim, 0u);
+  EXPECT_GT(daemons[1]->wire_stats().total_decoded(), survivor_decoded);
+  tap.reset();
+  daemons.clear();
+}
+
+// The pool is sized by how many datagrams wait out their delay at once, not
+// by how many arrive: after a steady window each daemon has handled far
+// more frames than it holds slots, and once traffic stops every slot comes
+// back.
+TEST_F(DaemonTest, DispatchPoolIsBoundedByInFlightHighWater) {
+  build(6, 2);
+  stabilize();
+  sim_.run_until(sim_.now() + sim::seconds(60));
+  for (std::size_t i = 0; i < farm_->node_count(); ++i) {
+    const GsDaemon& daemon = farm_->daemon(i);
+    EXPECT_GT(daemon.dispatch_slots(), 0u);
+    EXPECT_GT(daemon.wire_stats().total_decoded(),
+              50 * daemon.dispatch_slots());
+  }
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < farm_->node_count(); ++i) {
+    slots.push_back(farm_->daemon(i).dispatch_slots());
+    farm_->daemon(i).halt();
+  }
+  sim_.run_until(sim_.now() + sim::seconds(5));
+  for (std::size_t i = 0; i < farm_->node_count(); ++i) {
+    EXPECT_EQ(farm_->daemon(i).dispatches_in_flight(), 0u);
+    EXPECT_EQ(farm_->daemon(i).dispatch_slots(), slots[i]);
+  }
 }
 
 }  // namespace

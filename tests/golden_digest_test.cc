@@ -16,6 +16,7 @@
 
 #include "farm/farm.h"
 #include "farm/scenario.h"
+#include "farm/script.h"
 #include "obs/expo.h"
 #include "obs/trace.h"
 
@@ -137,6 +138,64 @@ TEST(GoldenDigest, LargeAdminAmgFailureRecoveryBurst) {
   EXPECT_EQ(hex(trace_digest), "0x19858c106106124c")
       << "JSONL trace stream changed";
   EXPECT_EQ(hex(prometheus_digest), "0xb5374c101aaf64bf")
+      << "Prometheus exposition changed";
+}
+
+// The same pins for a small two-level hierarchy driven by a script through
+// every fabric mutation that changes where a unicast lands: a switch dies
+// and recovers (its adapters leave and rejoin their VLANs), Central moves a
+// worker's data adapter to the other domain's data VLAN and back, and a
+// data VLAN is partitioned and healed. Heartbeats keep flowing across each
+// change, so cached unicast resolution must follow the topology exactly.
+TEST(GoldenDigest, HierarchicalSwitchMoveAndPartitionScript) {
+  proto::Params params;
+  params.beacon_phase = sim::seconds(2);
+  params.amg_stable_wait = sim::seconds(1);
+  params.gsc_stable_wait = sim::seconds(3);
+
+  FarmSpec spec = FarmSpec::hierarchical(2, 4);
+  spec.switch_ports = 8;  // several switches, so fail-switch is partial
+  sim::Simulator sim;
+  Farm farm(sim, spec, params, /*seed=*/5150);
+  farm.enable_span_tracking();
+
+  std::uint64_t trace_digest = kFnvBasis;
+  std::uint64_t records = 0;
+  auto tap = farm.trace_bus().subscribe([&](const obs::TraceRecord& record) {
+    trace_digest = fnv1a(trace_digest, obs::to_json(record));
+    trace_digest = fnv1a(trace_digest, "\n");
+    ++records;
+  });
+
+  farm.start();
+  ASSERT_TRUE(run_until_converged(farm, sim::seconds(120)));
+  // Switch 3 carries the last domain-1 worker; adapter 9 is a domain-0
+  // worker's data adapter on VLAN 100, and VLAN 101 is domain 1's.
+  ScriptParseResult parsed = parse_script(
+      "at 0s   fail-switch 3\n"
+      "at 20s  recover-switch 3\n"
+      "at 40s  move-adapter 9 vlan 101\n"
+      "at 60s  partition-vlan 100\n"
+      "at 80s  heal-vlan 100\n"
+      "at 90s  move-adapter 9 vlan 100\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  for (ScriptAction& action : parsed.actions) action.at += sim.now();
+  ScriptRun run;
+  schedule_script(farm, parsed.actions, &run);
+  sim.run_until(sim.now() + sim::seconds(100));
+  EXPECT_EQ(run.executed, parsed.actions.size());
+  EXPECT_EQ(run.failed, 0u);
+  ASSERT_TRUE(run_until_converged(farm, sim.now() + sim::seconds(120)));
+  sim.run_until(sim.now() + sim::seconds(10));
+  tap.reset();
+
+  const std::string prometheus = obs::expo::to_prometheus(farm.metrics());
+  const std::uint64_t prometheus_digest = fnv1a(kFnvBasis, prometheus);
+
+  EXPECT_EQ(records, 1975u);
+  EXPECT_EQ(hex(trace_digest), "0x745dd35aa78c6299")
+      << "JSONL trace stream changed";
+  EXPECT_EQ(hex(prometheus_digest), "0xd3f8a8cacbe1218f")
       << "Prometheus exposition changed";
 }
 

@@ -444,6 +444,141 @@ TEST_F(FabricTest, VlanIndexStaysCoherentThroughTopologyChurn) {
   EXPECT_EQ(fabric_.adapters_in_vlan(util::VlanId(1)).size(), 4u);
 }
 
+// An uncached reference for unicast resolution: the sender's VLAN comes
+// from walking every switch's port table (a dead switch puts its adapters on
+// no VLAN), and the target is the lowest AdapterId on that VLAN holding the
+// IP, found by scanning every adapter.
+util::VlanId reference_vlan(const Fabric& fabric, util::AdapterId id) {
+  for (util::SwitchId sw : fabric.all_switches()) {
+    const Switch& s = fabric.nic_switch(sw);
+    for (std::size_t p = 0; p < s.port_count(); ++p) {
+      const util::PortId port(static_cast<std::uint32_t>(p));
+      if (s.port_adapter(port) != id) continue;
+      return s.failed() ? util::VlanId::invalid() : s.port_vlan(port);
+    }
+  }
+  return util::VlanId::invalid();
+}
+
+// Invalid when no adapter on `vlan` holds `ip`.
+util::AdapterId reference_target(const Fabric& fabric, util::VlanId vlan,
+                                 util::IpAddress ip) {
+  if (ip.is_unspecified()) return util::AdapterId::invalid();
+  for (util::AdapterId id : fabric.all_adapters())  // ascending ids
+    if (fabric.adapter(id).ip() == ip && reference_vlan(fabric, id) == vlan)
+      return id;
+  return util::AdapterId::invalid();
+}
+
+// Seeded random topology churn interleaved with unicasts: every frame must
+// land on exactly the adapter the uncached reference names, or be counted
+// unreachable. Senders repeat destinations, so any resolution state the
+// fabric keeps between sends is exercised across every kind of mutation.
+TEST(FabricResolution, UnicastsFollowTheReferenceThroughRandomChurn) {
+  sim::Simulator sim;
+  Fabric fabric(sim, util::Rng(11));
+  ChannelModel model;
+  model.base_latency = sim::microseconds(50);
+  model.jitter = 0;
+  fabric.set_default_channel(model);
+
+  constexpr int kSwitches = 3;
+  constexpr int kAdapters = 18;
+  const std::vector<util::VlanId> vlans = {util::VlanId(1), util::VlanId(2),
+                                           util::VlanId(3)};
+  // Few addresses for many adapters: duplicates are the common case.
+  std::vector<util::IpAddress> pool = {util::IpAddress()};
+  for (std::uint8_t h = 1; h <= 7; ++h) pool.emplace_back(10, 0, 0, h);
+
+  std::vector<util::SwitchId> switches;
+  for (int i = 0; i < kSwitches; ++i) switches.push_back(fabric.add_switch(8));
+  std::vector<util::AdapterId> ids;
+  std::vector<util::AdapterId> received;
+  util::Rng rng(2024);
+  for (int i = 0; i < kAdapters; ++i) {
+    const util::AdapterId id =
+        fabric.add_adapter(util::NodeId(static_cast<std::uint32_t>(i)));
+    fabric.attach(id, switches[static_cast<std::size_t>(i % kSwitches)],
+                  vlans[rng.below(vlans.size())]);
+    fabric.set_adapter_ip(id, pool[rng.below(pool.size())]);
+    fabric.adapter(id).set_receive_handler(
+        [&received, id](const Datagram&) { received.push_back(id); });
+    ids.push_back(id);
+  }
+
+  int delivered = 0;
+  int unreachable = 0;
+  int refused = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t op = rng.below(20);
+    const util::AdapterId pick = ids[rng.below(ids.size())];
+    if (op == 0) {
+      fabric.set_adapter_ip(pick, pool[rng.below(pool.size())]);
+    } else if (op == 1) {
+      const Adapter& a = fabric.adapter(pick);
+      fabric.set_port_vlan(a.attached_switch(), a.attached_port(),
+                           vlans[rng.below(vlans.size())]);
+    } else if (op == 2) {
+      fabric.fail_switch(switches[rng.below(switches.size())]);
+    } else if (op == 3 || op == 4) {
+      fabric.recover_switch(switches[rng.below(switches.size())]);
+    } else if (op == 5) {
+      const util::VlanId vlan = vlans[rng.below(vlans.size())];
+      std::vector<std::vector<util::AdapterId>> parts(2);
+      for (util::AdapterId id : fabric.vlan_members(vlan))
+        parts[rng.below(2)].push_back(id);
+      fabric.partition_vlan(vlan, parts);
+    } else if (op == 6) {
+      fabric.heal_vlan(vlans[rng.below(vlans.size())]);
+    } else if (op == 7) {
+      fabric.set_adapter_health(pick, rng.chance(0.5) ? HealthState::kUp
+                                                      : HealthState::kRecvDead);
+    } else {
+      // A burst of unicasts from one sender to a couple of destinations.
+      const util::IpAddress first = pool[rng.below(pool.size())];
+      const util::IpAddress second = pool[rng.below(pool.size())];
+      for (int k = 0; k < 4; ++k) {
+        const util::IpAddress dst = (k % 2 == 0) ? first : second;
+        const util::VlanId vlan = reference_vlan(fabric, pick);
+        const bool can_leave = fabric.adapter(pick).can_send() && vlan.valid();
+        util::AdapterId expect = util::AdapterId::invalid();
+        std::uint64_t before = 0;
+        if (can_leave) {
+          expect = reference_target(fabric, vlan, dst);
+          if (expect.valid() &&
+              (expect == pick || !fabric.segment(vlan).connected(pick, expect) ||
+               !fabric.adapter(expect).can_recv()))
+            expect = util::AdapterId::invalid();
+          before = fabric.load(vlan).frames_unreachable;
+        }
+        received.clear();
+        ASSERT_EQ(fabric.send(pick, dst, test_frame()), can_leave)
+            << "step " << step;
+        sim.run();
+        if (!can_leave) {
+          EXPECT_TRUE(received.empty()) << "step " << step;
+          ++refused;
+        } else if (expect.valid()) {
+          ASSERT_EQ(received, std::vector<util::AdapterId>{expect})
+              << "step " << step;
+          EXPECT_EQ(fabric.load(vlan).frames_unreachable, before);
+          ++delivered;
+        } else {
+          EXPECT_TRUE(received.empty()) << "step " << step;
+          ASSERT_EQ(fabric.load(vlan).frames_unreachable, before + 1)
+              << "step " << step;
+          ++unreachable;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(fabric.vlan_index_consistent());
+  // The sequence must have exercised every outcome.
+  EXPECT_GT(delivered, 500);
+  EXPECT_GT(unreachable, 500);
+  EXPECT_GT(refused, 50);
+}
+
 TEST_F(FabricTest, MulticastPayloadIsSharedAcrossReceivers) {
   auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
   std::vector<Payload> seen;

@@ -222,9 +222,9 @@ TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
   daemon_a.reset();
   transport_a.reset();
 
-  // Drive the loop well past every deadline daemon A ever armed. Life
-  // tokens void its fire-and-forget callbacks; Timer members were
-  // cancelled by the destructors. Daemon B keeps running against a peer
+  // Drive the loop well past every deadline daemon A ever armed: its
+  // destructor cancelled every Timer it held, the start skew and pending
+  // processing-delay dispatches included. Daemon B keeps running against a peer
   // that went silent — exactly the kill path.
   loop.run_until(clock, clock.now() + sim::milliseconds(200), nullptr);
   EXPECT_FALSE(daemon_b->halted());
