@@ -97,10 +97,7 @@ int main(int argc, char** argv) {
   gs::util::Flags flags;
   if (!flags.parse(argc, argv)) return 1;
   const int trials = static_cast<int>(flags.get_int("trials", 5, "seeds"));
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   const std::vector<double> windows = {0.5, 2.0, 5.0, 10.0, 20.0};
 

@@ -51,10 +51,7 @@ int main(int argc, char** argv) {
   const int nodes = static_cast<int>(flags.get_int("nodes", 40, "farm size"));
   const int trials = static_cast<int>(flags.get_int("trials", 30,
                                                     "seeds per loss rate"));
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::proto::Params params;
   params.beacon_phase = gs::sim::seconds(5);

@@ -237,10 +237,7 @@ int main(int argc, char** argv) {
   const double max_death_ratio = flags.get_double(
       "max_death_ratio", 2.0,
       "exit nonzero if hier/flat death propagation exceeds this");
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   const std::vector<std::uint32_t> sizes =
       smoke ? std::vector<std::uint32_t>{256}

@@ -175,10 +175,7 @@ int main(int argc, char** argv) {
       "min_speedup", 3.0,
       "exit nonzero if the prepare shared-decode/per-receiver ratio falls "
       "below this");
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::bench::print_header("Codec hot path");
 

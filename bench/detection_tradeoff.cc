@@ -126,10 +126,7 @@ int main(int argc, char** argv) {
   const int trials = static_cast<int>(flags.get_int("trials", 5, "seeds"));
   const double horizon =
       flags.get_double("seconds", 300.0, "healthy-run length for table B/C");
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::proto::Params base;
   base.beacon_phase = gs::sim::seconds(2);

@@ -110,10 +110,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   const int moves = static_cast<int>(flags.get_int("moves", 6,
                                                    "moves per scenario"));
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::bench::print_header(
       "Dynamic domain reconfiguration (Section 3.1) — Oceano farm, "

@@ -29,10 +29,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   const int trials =
       static_cast<int>(flags.get_int("trials", 8, "seeds per cell"));
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   const double kAmgWait = 5.0, kGscWait = 15.0;
   std::vector<Cell> cells;

@@ -1,5 +1,5 @@
 // Event-core micro-benchmark: the timing-wheel EventQueue against the
-// reference binary heap (sim/heap_queue.h) on the two patterns the farm
+// reference binary heap (tests/heap_queue.h) on the two patterns the farm
 // actually exercises:
 //
 //   re-arm   — the heartbeat steady state as the event queue sees it. Each
@@ -8,8 +8,8 @@
 //              beacon one period out, and fans out that round's frame
 //              deliveries ~150 us ahead — one event per receiver, the way
 //              the pre-batching fabric scheduled a multicast (--fan
-//              defaults to farm_scale's 78 receivers per VLAN, --monitors
-//              to its 5000 adapters). The deadline mix is what splits the
+//              defaults to 78 receivers per VLAN, --monitors to 5000
+//              monitored adapters). The deadline mix is what splits the
 //              implementations: near-term delivery pushes sift through the
 //              heap's suspicion-laden top on the way in *and* on the way
 //              out, while the wheel files them O(1) and drains each dense
@@ -33,7 +33,7 @@
 
 #include "bench/bench_common.h"
 #include "sim/event_queue.h"
-#include "sim/heap_queue.h"
+#include "tests/heap_queue.h"
 #include "util/flags.h"
 
 namespace {
@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   const bool smoke =
       flags.get_bool("smoke", false, "quick iteration (CI regression gate)");
-  // Defaults mirror bench/farm_scale's default farm: 5000 monitored
-  // adapters, and a beacon fanning out to its ~78-member VLAN.
+  // Default shape: 5000 monitored adapters, each beacon fanning out to a
+  // 78-member VLAN (5000 adapters over 64 VLANs).
   const auto monitors = static_cast<std::size_t>(
       flags.get_int("monitors", 5000, "concurrently monitored peers"));
   const auto fan = static_cast<std::size_t>(flags.get_int(
@@ -175,10 +175,7 @@ int main(int argc, char** argv) {
   const double min_speedup = flags.get_double(
       "min_speedup", 3.0,
       "fail if wheel/heap re-arm speedup drops below this factor");
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::bench::print_header("event core: timing wheel vs reference heap");
   std::printf("monitors=%zu  fan=%zu  re-arm ops=%zu  push-pop rounds=%zu  "

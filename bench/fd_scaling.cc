@@ -64,10 +64,7 @@ int main(int argc, char** argv) {
       flags.get_double("seconds", 60.0, "measurement window (simulated)");
   const int max_all2all = static_cast<int>(flags.get_int(
       "max_all2all", 128, "cap for the quadratic all-to-all baseline"));
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   const std::vector<int> sizes = {4, 8, 16, 32, 64, 128, 256};
   const gs::proto::FdKind kinds[] = {

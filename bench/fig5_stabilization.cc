@@ -125,10 +125,7 @@ int main(int argc, char** argv) {
   // beyond it (scalability was the open question, §4.2).
   const std::vector<int> sizes = {3, 5, 10, 15, 20, 25, 30, 40, 55, 80, 120};
   const std::vector<double> beacon_seconds = {5, 10, 20};
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::bench::print_header(
       "Figure 5 — time for all groups to become stable (seconds)");

@@ -78,10 +78,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   const double churn_period =
       flags.get_double("churn_period", 10.0, "seconds between churn events");
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   const std::vector<int> sizes = {8, 16, 32, 64, 96};
   std::vector<Result> results(sizes.size());

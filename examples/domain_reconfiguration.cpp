@@ -36,10 +36,7 @@ void show_domain_membership(gs::farm::Farm& farm) {
 int main(int argc, char** argv) {
   gs::util::Flags flags;
   if (!flags.parse(argc, argv)) return 1;
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::sim::Simulator sim;
   gs::proto::Params params;

@@ -30,10 +30,7 @@ int main(int argc, char** argv) {
   gs::util::Flags flags;
   if (!flags.parse(argc, argv)) return 1;
   const int nodes = static_cast<int>(flags.get_int("nodes", 12, "farm size"));
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::sim::Simulator sim;
   gs::proto::Params params;

@@ -38,10 +38,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   const double hours = flags.get_double("hours", 1.0, "simulated hours");
   const bool verbose = flags.get_bool("verbose", false, "per-tick load dump");
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::sim::Simulator sim;
   gs::proto::Params params;

@@ -153,10 +153,7 @@ int main(int argc, char** argv) {
                      "the detection span on the wall clock");
   const int real_nodes = static_cast<int>(
       flags.get_int("real-nodes", 8, "daemons to boot with --real"));
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   gs::util::Logger::instance().set_level(verbose ? gs::util::LogLevel::kDebug
                                                  : gs::util::LogLevel::kWarn);

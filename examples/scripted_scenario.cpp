@@ -43,10 +43,7 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.get_int("adapters", 2, "adapters per node"));
   const double horizon =
       flags.get_double("horizon", 60.0, "extra seconds after the last action");
-  if (flags.help_requested()) {
-    flags.print_usage();
-    return 0;
-  }
+  if (const auto exit_code = flags.finish()) return *exit_code;
 
   std::string text = kDemoScript;
   if (!script_path.empty()) {

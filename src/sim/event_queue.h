@@ -1,6 +1,6 @@
 // Pending-event set for the discrete-event simulator: a hierarchical timing
 // wheel that preserves the exact (when, seq) total order of the binary heap
-// it replaced (kept as sim/heap_queue.h for differential testing).
+// it replaced (kept as tests/heap_queue.h for differential testing).
 //
 // Layout: 8 levels x 256 buckets — one level per byte of the 64-bit
 // microsecond timestamp, so the wheel spans all of SimTime with no separate

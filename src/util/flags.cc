@@ -101,6 +101,18 @@ std::vector<std::string> Flags::unknown_flags() const {
   return out;
 }
 
+std::optional<int> Flags::finish() const {
+  if (help_) {
+    print_usage();
+    return 0;
+  }
+  const std::vector<std::string> unknown = unknown_flags();
+  if (unknown.empty()) return std::nullopt;
+  std::fprintf(stderr, "unknown flag --%s (see --help)\n",
+               unknown.front().c_str());
+  return 2;
+}
+
 void Flags::print_usage() const {
   std::fprintf(stderr, "usage: %s [--flag=value ...]\n", program_.c_str());
   for (const auto& [name, entry] : registered_) {

@@ -1,7 +1,8 @@
 // Minimal --key=value command-line parsing for examples and benches.
 //
 // Deliberately tiny: flags are declared at the call site with a default and
-// a help string; `Flags::parse` handles --help generation and type errors.
+// a help string; `Flags::parse` handles type errors, and `Flags::finish`
+// (after the last lookup) handles --help and unknown flags.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,8 @@ namespace gs::util {
 
 class Flags {
  public:
-  // Parses argv; on --help prints registered usage (after lookups) and the
-  // caller should exit. Returns false on malformed arguments.
+  // Parses argv; --help is answered by finish() once every flag is
+  // registered. Returns false on malformed arguments.
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool help_requested() const { return help_; }
@@ -31,6 +32,12 @@ class Flags {
 
   // Flags present on the command line but never looked up — typo detection.
   [[nodiscard]] std::vector<std::string> unknown_flags() const;
+
+  // Call after the last lookup. Returns the code main should exit with now:
+  // 0 once usage is printed for --help, 2 once the first unknown flag is
+  // named on stderr (a misspelled gate flag must fail the run, not leave
+  // its gate at the default); nullopt when the program should run.
+  [[nodiscard]] std::optional<int> finish() const;
 
   void print_usage() const;
 

@@ -5,10 +5,14 @@
 // aggregate from the domain fulls its successor solicits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <set>
+#include <vector>
 
 #include "farm/farm.h"
 #include "farm/scenario.h"
+#include "soak/invariants.h"
 
 namespace gs {
 namespace {
@@ -26,8 +30,9 @@ proto::Params hier_params() {
 
 class HierFarmTest : public ::testing::Test {
  protected:
-  void build(int domains, int workers, std::uint64_t seed = 1) {
-    params_ = hier_params();
+  void build(int domains, int workers, std::uint64_t seed = 1,
+             const proto::Params& params = hier_params()) {
+    params_ = params;
     farm_.emplace(sim_, farm::FarmSpec::hierarchical(domains, workers),
                   params_, seed);
     farm_->start();
@@ -163,6 +168,98 @@ TEST_F(HierFarmTest, DarkDomainExpiresWholesaleAndRecovers) {
     proto::RootCentral* r = farm_->active_root_central();
     return r != nullptr && r->domain_count() == 2 && root_caught_up();
   }));
+}
+
+// The paper's scaling claim on the real protocol: a 5 202-adapter farm with
+// default parameters through discovery, a fault burst and recovery. The
+// burst lands at one simulated instant, so no leader can die after it has
+// declared a member dead (the only way a death report can be lost), and the
+// victims are picked without sparing leaders.
+TEST_F(HierFarmTest, FiveThousandAdapterBurstReachesRootAndRecovers) {
+  build(52, 48, /*seed=*/7, proto::Params());
+  net::Fabric& fabric = farm_->fabric();
+  ASSERT_EQ(fabric.adapter_count(), 5202u);
+  sim_.run_until(sim_.now() + sim::seconds(5));
+  ASSERT_TRUE(farm::run_until(sim_, sim_.now() + sim::seconds(60),
+                              [&] { return root_caught_up(); }));
+  ASSERT_TRUE(fabric.vlan_index_consistent());
+
+  // 32 of the 2 496 workers at stride 79: domains 0..51 at worker offsets
+  // i*31 mod 48, which include worker 47, its data VLAN's leader.
+  const std::vector<std::size_t> workers =
+      farm_->nodes_with_role(farm::NodeRole::kGeneric);
+  std::vector<std::size_t> victims;
+  std::set<util::IpAddress> dead;
+  for (std::size_t i = 0; i < 32; ++i) {
+    victims.push_back(workers[i * 79]);
+    for (util::AdapterId a : farm_->node_adapters(victims.back()))
+      dead.insert(fabric.adapter(a).ip());
+  }
+  // Plus the first switch from the middle of the plant up that racks only
+  // workers: one racking a domain-management node would turn the burst into
+  // a domain-Central failover, which DomainCentralFailoverStandbyTakesOver
+  // covers. Workers carry no root-VLAN adapter, so every victim adapter is
+  // domain-side.
+  auto workers_only = [&](util::SwitchId sw) {
+    for (util::AdapterId a : fabric.nic_switch(sw).wired_adapters())
+      if (farm_->role(*farm_->node_of(a)) != farm::NodeRole::kGeneric)
+        return false;
+    return true;
+  };
+  std::uint32_t sw = static_cast<std::uint32_t>(fabric.switch_count() / 2);
+  while (sw < fabric.switch_count() && !workers_only(util::SwitchId(sw))) ++sw;
+  ASSERT_LT(sw, fabric.switch_count());
+  const util::SwitchId dead_switch(sw);
+  for (util::AdapterId a : fabric.nic_switch(dead_switch).wired_adapters())
+    dead.insert(fabric.adapter(a).ip());
+
+  // Succession (§2.1) walks a group's ranks one at a time, and each dead
+  // rank costs suspect_retries x suspect_retry before the next is tried, so
+  // the bound grows with the longest run of dead adapters at the top of a
+  // VLAN's rank order. 10 s more covers detection, the successor's probes,
+  // the 2PC, the new leader's full report and the uplink's batch.
+  long dead_ranks = 0;
+  for (util::VlanId vlan : farm_->vlans()) {
+    std::vector<util::IpAddress> ranked;
+    for (util::AdapterId a : fabric.adapters_in_vlan(vlan))
+      ranked.push_back(fabric.adapter(a).ip());
+    std::sort(ranked.rbegin(), ranked.rend());
+    const auto survivor = std::find_if(
+        ranked.begin(), ranked.end(),
+        [&](util::IpAddress ip) { return dead.count(ip) == 0; });
+    dead_ranks = std::max(dead_ranks, survivor - ranked.begin());
+  }
+  const sim::SimDuration bound =
+      dead_ranks * params_.suspect_retries * params_.suspect_retry +
+      sim::seconds(10);
+
+  const sim::SimTime burst = sim_.now();
+  for (std::size_t node : victims) farm_->fail_node(node);
+  fabric.fail_switch(dead_switch);
+  ASSERT_TRUE(farm::run_until(sim_, burst + bound, [&] {
+    proto::RootCentral* root = farm_->active_root_central();
+    return root != nullptr &&
+           std::all_of(dead.begin(), dead.end(), [&](util::IpAddress ip) {
+             const auto status = root->adapter_status(ip);
+             return status.has_value() && !status->alive;
+           });
+  })) << "the root did not see all " << dead.size()
+      << " victim adapters dead within " << sim::to_seconds(bound) << " s";
+
+  for (std::size_t node : victims) farm_->recover_node(node);
+  fabric.recover_switch(dead_switch);
+  ASSERT_TRUE(farm::run_until(sim_, sim_.now() + sim::seconds(120), [&] {
+    return farm_->converged() && root_caught_up();
+  }));
+  // The soak runner's settle window: report retries, the move-window hold
+  // and a full group-lease cycle, so the Central tables are final.
+  sim_.run_until(sim_.now() + params_.group_lease + params_.move_window +
+                 params_.amg_stable_wait + 2 * params_.report_retry +
+                 sim::seconds(3));
+  EXPECT_TRUE(fabric.vlan_index_consistent());
+  EXPECT_TRUE(root_caught_up());
+  const auto violations = soak::check_farm_invariants(*farm_);
+  EXPECT_TRUE(violations.empty()) << soak::format_violations(violations);
 }
 
 }  // namespace

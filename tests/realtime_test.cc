@@ -12,7 +12,7 @@
 #include "farm/realnet.h"
 #include "net/udp_transport.h"
 #include "sim/event_queue.h"
-#include "sim/heap_queue.h"
+#include "tests/heap_queue.h"
 #include "sim/simulator.h"
 #include "sim/wallclock.h"
 

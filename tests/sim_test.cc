@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/heap_queue.h"
+#include "tests/heap_queue.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 

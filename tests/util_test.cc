@@ -397,6 +397,24 @@ TEST(Flags, UnknownFlagDetection) {
   EXPECT_EQ(unknown[0], "typo");
 }
 
+TEST(Flags, FinishExitsTwoOnlyForFlagsNeverLookedUp) {
+  const char* argv[] = {"prog", "--n=3", "--min_speedp=0"};
+  Flags flags;
+  ASSERT_TRUE(flags.parse(3, argv));
+  flags.get_int("n", 0, "");
+  flags.get_double("min_speedup", 3.0, "");
+  EXPECT_EQ(flags.finish(), 2);
+  flags.get_double("min_speedp", 3.0, "");
+  EXPECT_EQ(flags.finish(), std::nullopt);
+}
+
+TEST(Flags, FinishExitsZeroForHelpBeforeCheckingUnknowns) {
+  const char* argv[] = {"prog", "--help", "--typo=1"};
+  Flags flags;
+  ASSERT_TRUE(flags.parse(3, argv));
+  EXPECT_EQ(flags.finish(), 0);
+}
+
 // --- ThreadPool ----------------------------------------------------------------------
 
 TEST(ThreadPool, RunsAllTasks) {
