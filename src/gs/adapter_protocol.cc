@@ -29,9 +29,9 @@ AdapterProtocol::AdapterProtocol(sim::TimeSource& clock, const Params& params,
                                  MemberInfo self, NetIface net, Hooks hooks,
                                  util::Rng rng)
     : sim_(clock),
+      net_(std::move(net)),
       params_(params),
       self_(self),
-      net_(std::move(net)),
       hooks_(std::move(hooks)),
       rng_(rng) {}
 
@@ -267,7 +267,7 @@ void AdapterProtocol::handle_prepare(util::IpAddress src, const Prepare& msg) {
   pending.coordinator = src;
   pending.membership = std::move(membership);
   if (pending_prepare_) pending_prepare_->expiry.cancel();
-  pending_prepare_ = std::move(pending);
+  pending_prepare_ = std::make_unique<PendingPrepare>(std::move(pending));
   // Hold the prepared state past the coordinator's worst case: it may ride
   // out every retry ((retries+1) * timeout) before committing the subset.
   pending_prepare_->expiry = sim_.after(
@@ -310,7 +310,7 @@ void AdapterProtocol::maybe_implicit_commit(std::uint64_t msg_view) {
 }
 
 void AdapterProtocol::install_pending() {
-  GS_CHECK(pending_prepare_.has_value());
+  GS_CHECK(pending_prepare_ != nullptr);
   MembershipView view = std::move(pending_prepare_->membership);
   pending_prepare_->expiry.cancel();
   pending_prepare_.reset();

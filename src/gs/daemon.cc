@@ -39,11 +39,8 @@ WireStats::Drop drop_reason(wire::FrameError error) {
 }  // namespace
 
 GsDaemon::GsDaemon(Options opts)
-    : sim_(*opts.clock),
-      transport_(*opts.transport),
-      params_(*opts.params),
+    : GsDaemonHot(*opts.clock, *opts.params, opts.rng, *opts.transport),
       config_(std::move(opts.node)),
-      rng_(opts.rng),
       central_(opts.central),
       root_central_(opts.root_central),
       uplink_index_(opts.uplink_adapter_index) {
@@ -179,13 +176,13 @@ void GsDaemon::on_datagram(std::size_t index, const net::Datagram& dgram) {
     delay = static_cast<sim::SimDuration>(
         rng_.exponential(static_cast<double>(params_.proc_delay_mean)));
   }
-  std::uint32_t slot;
-  if (dispatch_free_.empty()) {
+  std::uint32_t slot = dispatch_free_head_;
+  if (slot == kNoSlot) {
     slot = static_cast<std::uint32_t>(dispatch_pool_.size());
     dispatch_pool_.emplace_back();
   } else {
-    slot = dispatch_free_.back();
-    dispatch_free_.pop_back();
+    dispatch_free_head_ = dispatch_pool_[slot].next_free;
+    --dispatch_free_count_;
   }
   PendingDispatch& pending = dispatch_pool_[slot];
   pending.dgram = dgram;
@@ -199,7 +196,9 @@ void GsDaemon::fire_dispatch(std::uint32_t slot) {
   PendingDispatch& pending = dispatch_pool_[slot];
   const std::size_t index = pending.index;
   const net::Datagram dgram = std::move(pending.dgram);
-  dispatch_free_.push_back(slot);
+  pending.next_free = dispatch_free_head_;
+  dispatch_free_head_ = slot;
+  ++dispatch_free_count_;
   dispatch(index, dgram);
 }
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -80,7 +81,48 @@ struct WireStats {
 
 [[nodiscard]] std::string_view to_string(WireStats::Drop reason);
 
-class GsDaemon {
+// What every frame the daemon handles reads. A received one, from
+// on_datagram() through dispatch(): the halted check, the processing-delay
+// draw with its clock and mean, the dispatch pool with its free list, and
+// the protocol table. A sent one: the transport. GsDaemon inherits it
+// first, so it opens the object: the draw and the free list in the first
+// 64 bytes, the two tables and the transport right after. Not
+// over-aligned, like AdapterProtocolHot and for the same reason.
+struct GsDaemonHot {
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  // Every callback the daemon schedules is a Timer it owns and cancels on
+  // destruction. Each datagram waiting out its processing delay sits in a
+  // recycled pool slot with its own, and the scheduled callback captures
+  // only {this, slot}, which fits std::function's inline buffer: no
+  // allocation per delivery. A free slot links to the next free one, so
+  // the free list lives in the pool itself (LIFO, head below).
+  struct PendingDispatch {
+    net::Datagram dgram;
+    sim::Timer timer;
+    std::uint32_t index = 0;            // receiving port
+    std::uint32_t next_free = kNoSlot;  // while free
+  };
+
+  GsDaemonHot(sim::TimeSource& sim, const Params& params, util::Rng rng,
+              net::Transport& transport)
+      : rng_(rng), sim_(sim), params_(params), transport_(transport) {}
+
+  util::Rng rng_;
+  sim::TimeSource& sim_;
+  const Params& params_;
+  std::uint32_t dispatch_free_head_ = kNoSlot;
+  std::uint32_t dispatch_free_count_ = 0;
+  bool halted_ = false;
+  std::vector<PendingDispatch> dispatch_pool_;
+  std::vector<std::unique_ptr<AdapterProtocol>> protocols_;
+  net::Transport& transport_;
+};
+// Two lines' worth: a later member must not push the tables or the
+// transport out.
+static_assert(sizeof(GsDaemonHot) <= 128);
+
+class GsDaemon : private GsDaemonHot {
  public:
   struct NodeConfig {
     util::NodeId node;
@@ -171,7 +213,7 @@ class GsDaemon {
   // and the slots allocated. The pool grows only when every slot is busy,
   // so its size is the in-flight high-water mark.
   [[nodiscard]] std::size_t dispatches_in_flight() const {
-    return dispatch_pool_.size() - dispatch_free_.size();
+    return dispatch_pool_.size() - dispatch_free_count_;
   }
   [[nodiscard]] std::size_t dispatch_slots() const {
     return dispatch_pool_.size();
@@ -205,30 +247,14 @@ class GsDaemon {
     return transport_.local_ip(config_.admin_adapter_index);
   }
 
-  sim::TimeSource& sim_;
-  net::Transport& transport_;
-  const Params& params_;
   NodeConfig config_;
-  std::vector<std::unique_ptr<AdapterProtocol>> protocols_;
-  util::Rng rng_;
   Central* central_ = nullptr;
   RootCentral* root_central_ = nullptr;
   DomainUplink* uplink_ = nullptr;
   std::optional<std::size_t> uplink_index_;
 
-  // Every callback the daemon schedules is a Timer it owns and cancels on
-  // destruction. The start skew has one; each datagram waiting out its
-  // processing delay sits in a recycled pool slot with its own, and the
-  // scheduled callback captures only {this, slot}, which fits
-  // std::function's inline buffer: no allocation per delivery.
+  // The start skew's timer; cancelled on destruction like the pool's.
   sim::Timer start_timer_;
-  struct PendingDispatch {
-    net::Datagram dgram;
-    sim::Timer timer;
-    std::uint32_t index = 0;  // receiving port
-  };
-  std::vector<PendingDispatch> dispatch_pool_;
-  std::vector<std::uint32_t> dispatch_free_;
 
   util::IpAddress last_gsc_;
   util::IpAddress last_root_;
@@ -236,7 +262,6 @@ class GsDaemon {
   sim::Timer report_retry_timer_;
   sim::Timer report_refresh_timer_;
   bool started_ = false;
-  bool halted_ = false;
 
   std::uint64_t frames_dropped_ = 0;
   std::uint64_t reports_sent_ = 0;

@@ -35,9 +35,14 @@
 
 namespace gs::proto {
 
+// The pointer members lead: a heartbeat send or arrival reads them, and
+// they would otherwise sit behind the three std::functions.
 struct FdContext {
   sim::TimeSource* sim = nullptr;
   const Params* params = nullptr;
+  // Shared encode scratch (the owning AdapterProtocol's); optional — tests
+  // that drive a detector standalone may leave it null.
+  wire::Writer* encode_scratch = nullptr;
   util::IpAddress self;
   // Unicast a complete frame to a member of the group.
   std::function<void(util::IpAddress, net::Payload)> send;
@@ -47,9 +52,6 @@ struct FdContext {
   // neighbor (§3). Returns true when the local adapter is healthy.
   std::function<bool()> loopback_ok;
   util::Rng rng;
-  // Shared encode scratch (the owning AdapterProtocol's); optional — tests
-  // that drive a detector standalone may leave it null.
-  wire::Writer* encode_scratch = nullptr;
 
   // Frames a message for send(), allocation-free when scratch is wired.
   template <typename T>

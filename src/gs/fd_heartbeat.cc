@@ -8,7 +8,7 @@
 namespace gs::proto {
 
 HeartbeatFd::HeartbeatFd(FdKind kind, FdContext ctx)
-    : kind_(kind), ctx_(std::move(ctx)) {
+    : ctx_(std::move(ctx)), kind_(kind) {
   GS_CHECK(kind_ != FdKind::kRandomPing);
 }
 
@@ -29,7 +29,7 @@ void HeartbeatFd::stop_all() {
   running_ = false;
   send_timer_.cancel();
   poll_timer_.cancel();
-  for (auto& [peer, timer] : deadlines_) timer.cancel();
+  for (Deadline& d : deadlines_) d.timer.cancel();
   deadlines_.clear();
   targets_.clear();
   monitored_.clear();
@@ -114,8 +114,10 @@ void HeartbeatFd::start(const MembershipView& view) {
           static_cast<std::uint64_t>(std::max<sim::SimDuration>(1, period)))),
       [this] { send_heartbeats(); });
 
+  for (util::IpAddress peer : monitored_) deadlines_.push_back({peer, {}});
+  std::ranges::sort(deadlines_, {}, &Deadline::peer);
   for (util::IpAddress peer : monitored_)
-    arm_monitor(peer, /*after_suspicion=*/false);
+    arm_monitor(*find_deadline(peer), /*after_suspicion=*/false);
 
   if (!chunks_.empty()) {
     poll_timer_ = ctx_.sim->after(ctx_.params->subgroup_poll_period,
@@ -149,19 +151,25 @@ void HeartbeatFd::send_heartbeats() {
                                 [this] { send_heartbeats(); });
 }
 
-void HeartbeatFd::arm_monitor(util::IpAddress peer, bool after_suspicion) {
+HeartbeatFd::Deadline* HeartbeatFd::find_deadline(util::IpAddress peer) {
+  const auto it =
+      std::ranges::lower_bound(deadlines_, peer, {}, &Deadline::peer);
+  return it != deadlines_.end() && it->peer == peer ? &*it : nullptr;
+}
+
+void HeartbeatFd::arm_monitor(Deadline& deadline, bool after_suspicion) {
   const auto period = ctx_.params->hb_period;
-  const sim::SimDuration deadline =
+  const sim::SimDuration delay =
       after_suspicion
           ? ctx_.params->resuspect_hold
           : period * ctx_.params->hb_sensitivity + period / 2;
-  sim::Timer& timer = deadlines_[peer];
   // Fast path for the steady state (every heartbeat arrival lands here):
   // the pending deadline moves in place — the backend keeps the callback,
   // so the cycle is allocation-free. Falls back to a fresh arm on first
   // use and when re-arming from monitor_expired (the timer just fired).
-  if (timer.rearm_after(deadline)) return;
-  timer = ctx_.sim->after(deadline, [this, peer] { monitor_expired(peer); });
+  if (deadline.timer.rearm_after(delay)) return;
+  deadline.timer = ctx_.sim->after(
+      delay, [this, peer = deadline.peer] { monitor_expired(peer); });
 }
 
 void HeartbeatFd::monitor_expired(util::IpAddress peer) {
@@ -171,22 +179,24 @@ void HeartbeatFd::monitor_expired(util::IpAddress peer) {
   if (ctx_.params->fd_loopback_test && ctx_.loopback_ok && !ctx_.loopback_ok()) {
     GS_LOG(kDebug, "fd") << ctx_.self << " loopback failed; not blaming "
                          << peer;
-    arm_monitor(peer, /*after_suspicion=*/false);
+    arm_monitor(*find_deadline(peer), /*after_suspicion=*/false);
     return;
   }
   obs::emit_trace(ctx_.params->trace, obs::TraceKind::kHeartbeatMiss,
                   ctx_.sim->now(), ctx_.self, peer);
   ctx_.suspect(peer);
-  arm_monitor(peer, /*after_suspicion=*/true);
+  // suspect() may re-enter and re-target this detector: hold off only a
+  // peer it still monitors.
+  if (Deadline* deadline = find_deadline(peer))
+    arm_monitor(*deadline, /*after_suspicion=*/true);
 }
 
 bool HeartbeatFd::on_heartbeat(util::IpAddress from, const Heartbeat& hb) {
   if (!running_) return false;
   if (hb.view != view_.view()) return false;  // stale traffic handled upstream
-  if (std::find(monitored_.begin(), monitored_.end(), from) ==
-      monitored_.end())
-    return false;
-  arm_monitor(from, /*after_suspicion=*/false);
+  Deadline* deadline = find_deadline(from);
+  if (deadline == nullptr) return false;
+  arm_monitor(*deadline, /*after_suspicion=*/false);
   return true;
 }
 

@@ -8,11 +8,37 @@
 
 namespace gs::proto {
 
+// What one heartbeat cycle reads in the detector: the running flag, the
+// view number the heartbeat must carry, the send sequence, whom to send
+// to, and the deadline table a received heartbeat re-arms. HeartbeatFd
+// inherits it right after its vtable pointer, with its context's pointer
+// members next: an arrival reads only the object's first two cache lines,
+// and a send adds the third, which holds ctx_.send.
+struct HeartbeatFdHot {
+  // One monitored peer's heartbeat deadline.
+  struct Deadline {
+    util::IpAddress peer;
+    sim::Timer timer;
+  };
+
+  bool running_ = false;
+  std::uint64_t hb_seq_ = 0;
+  MembershipView view_;
+  std::vector<util::IpAddress> targets_;  // peers we heartbeat
+  // Every peer we expect heartbeats from, ascending IP; filled once per
+  // start() and re-armed in place, so an arrival is one search.
+  std::vector<Deadline> deadlines_;
+};
+// With the vtable pointer and ctx_'s sim/params/encode_scratch behind it,
+// two lines: a later member must not push the cycle's fields further out.
+static_assert(sizeof(HeartbeatFdHot) <= 96);
+
 // Heartbeat-family detector covering uni-ring, bi-ring, all-to-all, and the
 // subgroup scheme. The kind selects which ranks this member heartbeats
 // (targets) and which it monitors; subgroup mode adds the leader-side
 // low-frequency poll of each subgroup (§4.2).
-class HeartbeatFd final : public FailureDetector {
+class alignas(64) HeartbeatFd final : public FailureDetector,
+                                      private HeartbeatFdHot {
  public:
   HeartbeatFd(FdKind kind, FdContext ctx);
   ~HeartbeatFd() override { stop_all(); }
@@ -41,7 +67,9 @@ class HeartbeatFd final : public FailureDetector {
   void stop_all();
   void compute_peers();
   void send_heartbeats();
-  void arm_monitor(util::IpAddress peer, bool after_suspicion);
+  // The peer's entry in deadlines_, or null when it is not monitored.
+  [[nodiscard]] Deadline* find_deadline(util::IpAddress peer);
+  void arm_monitor(Deadline& deadline, bool after_suspicion);
   void monitor_expired(util::IpAddress peer);
 
   // Leader-side subgroup polling.
@@ -53,16 +81,12 @@ class HeartbeatFd final : public FailureDetector {
     std::size_t next_target = 0;        // rotation over members
   };
 
-  FdKind kind_;
   FdContext ctx_;
-  MembershipView view_;
-  bool running_ = false;
-
-  std::vector<util::IpAddress> targets_;   // peers we heartbeat
-  std::vector<util::IpAddress> monitored_; // peers we expect heartbeats from
-  std::map<util::IpAddress, sim::Timer> deadlines_;
-  std::uint64_t hb_seq_ = 0;
+  FdKind kind_;
   sim::Timer send_timer_;
+  // The monitored peers in the order compute_peers() lists them, which is
+  // the order start() arms their deadlines in.
+  std::vector<util::IpAddress> monitored_;
 
   // subgroup-poll state (leader only)
   std::vector<ChunkState> chunks_;

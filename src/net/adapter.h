@@ -26,7 +26,10 @@ enum class HealthState : std::uint8_t {
 
 class Fabric;
 
-class Adapter {
+// One adapter record is exactly one cache line: Fabric stores them by value
+// (see Fabric::adapters_), and the per-frame checks — health at send and at
+// delivery, the source IP, the receive handler — read only this line.
+class alignas(64) Adapter {
  public:
   using ReceiveHandler = std::function<void(const Datagram&)>;
 
@@ -75,14 +78,17 @@ class Adapter {
     port_ = port;
   }
 
+  // What the traffic paths read comes first; identity and wiring follow.
+  HealthState health_ = HealthState::kUp;
+  util::IpAddress ip_;
   util::AdapterId id_;
   util::NodeId node_;
+  ReceiveHandler on_receive_;
   util::MacAddress mac_;
-  util::IpAddress ip_;
   util::SwitchId switch_;
   util::PortId port_;
-  HealthState health_ = HealthState::kUp;
-  ReceiveHandler on_receive_;
 };
+// A new member must not spill the record into a second line.
+static_assert(sizeof(Adapter) == 64);
 
 }  // namespace gs::net

@@ -29,7 +29,7 @@ util::SwitchId Fabric::add_switch(std::size_t ports) {
 util::AdapterId Fabric::add_adapter(util::NodeId node) {
   const util::AdapterId id(static_cast<std::uint32_t>(adapters_.size()));
   const util::MacAddress mac(0x02'00'00'00'00'00ull + id.value());
-  adapters_.push_back(std::make_unique<Adapter>(id, node, mac));
+  adapters_.emplace_back(id, node, mac);
   wiring_.emplace_back();
   return id;
 }
@@ -55,12 +55,12 @@ void Fabric::attach(util::AdapterId adapter_id, util::SwitchId sw,
 
 Adapter& Fabric::adapter(util::AdapterId id) {
   GS_CHECK(id.valid() && id.value() < adapters_.size());
-  return *adapters_[id.value()];
+  return adapters_[id.value()];
 }
 
 const Adapter& Fabric::adapter(util::AdapterId id) const {
   GS_CHECK(id.valid() && id.value() < adapters_.size());
-  return *adapters_[id.value()];
+  return adapters_[id.value()];
 }
 
 Switch& Fabric::mutable_switch(util::SwitchId id) {
@@ -88,7 +88,7 @@ Segment& Fabric::segment_of(util::VlanId vlan, VlanState& state) {
 std::vector<util::AdapterId> Fabric::all_adapters() const {
   std::vector<util::AdapterId> out;
   out.reserve(adapters_.size());
-  for (const auto& a : adapters_) out.push_back(a->id());
+  for (const Adapter& a : adapters_) out.push_back(a.id());
   return out;
 }
 
@@ -101,8 +101,8 @@ std::vector<util::SwitchId> Fabric::all_switches() const {
 
 std::vector<util::AdapterId> Fabric::node_adapters(util::NodeId node) const {
   std::vector<util::AdapterId> out;
-  for (const auto& a : adapters_)
-    if (a->node() == node) out.push_back(a->id());
+  for (const Adapter& a : adapters_)
+    if (a.node() == node) out.push_back(a.id());
   return out;
 }
 
@@ -162,15 +162,15 @@ bool Fabric::vlan_index_consistent() const {
   for (const auto& [vlan, members] : truth)
     if (!members.empty()) return false;
   // Every stored VLAN against the adapter -> switch -> port chain.
-  for (const auto& a : adapters_) {
-    const Wiring& w = wiring_[a->id().value()];
-    if (!a->attached_switch().valid()) {
+  for (const Adapter& a : adapters_) {
+    const Wiring& w = wiring_[a.id().value()];
+    if (!a.attached_switch().valid()) {
       if (w.vlan.valid() || w.state != nullptr) return false;
       continue;
     }
-    const Switch& s = nic_switch(a->attached_switch());
-    if (s.port_adapter(a->attached_port()) != a->id()) return false;
-    const util::VlanId port_vlan = s.port_vlan(a->attached_port());
+    const Switch& s = nic_switch(a.attached_switch());
+    if (s.port_adapter(a.attached_port()) != a.id()) return false;
+    const util::VlanId port_vlan = s.port_vlan(a.attached_port());
     auto it = vlans_.find(port_vlan);
     if (it == vlans_.end() || w.state != &it->second) return false;
     if (w.vlan != (s.failed() ? util::VlanId::invalid() : port_vlan))
@@ -231,6 +231,15 @@ std::optional<util::AdapterId> Fabric::find_by_ip(util::VlanId vlan,
   return best;
 }
 
+void Fabric::topology_changed() {
+  // On the (unreachable in practice) wrap, scrub every memo so a stale
+  // generation cannot match again.
+  if (++topology_gen_ == 0) {
+    for (Wiring& w : wiring_) w.memo_gen = 0;
+    topology_gen_ = 1;
+  }
+}
+
 util::AdapterId Fabric::resolve_unicast(Wiring& w, util::IpAddress dst) {
   if (w.memo_gen != topology_gen_) {
     w.memo_gen = topology_gen_;
@@ -260,7 +269,14 @@ SegmentLoad& Fabric::account_sent(VlanState& state, const Payload& payload) {
   load.bytes_sent += payload.size();
   total_frames_sent_++;
   total_bytes_sent_ += payload.size();
-  frames_by_type_[peek_frame_type(payload.bytes())]++;
+  const std::uint16_t type = peek_frame_type(payload.bytes());
+  if (type >= kTypeCounterSlots) {
+    frames_by_type_[type]++;
+    return load;
+  }
+  std::uint64_t*& counter = type_counters_[type];
+  if (counter == nullptr) counter = &frames_by_type_[type];
+  ++*counter;
   return load;
 }
 
@@ -561,6 +577,7 @@ void Fabric::reset_load_accounting() {
   // for quiet VLANs and dangle load() references taken before the reset.
   for (auto& [vlan, state] : vlans_) state.load = SegmentLoad{};
   frames_by_type_.clear();
+  type_counters_.fill(nullptr);
   total_frames_sent_ = 0;
   total_bytes_sent_ = 0;
 }

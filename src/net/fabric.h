@@ -251,29 +251,32 @@ class Fabric {
     return state.load;
   }
 
-  // Per-adapter routing record, indexed by AdapterId.
-  struct Wiring {
+  // Per-adapter routing record, indexed by AdapterId. Half a cache line and
+  // aligned to it, so a send reads its sender's record from one line.
+  struct alignas(32) Wiring {
     // What vlan_of() returns: the port's VLAN while the switch is up.
     util::VlanId vlan;
+    // The memo below is valid while memo_gen == topology_gen_.
+    std::uint32_t memo_gen = 0;
     // The port's VLAN record (null while unwired), kept while the switch is
     // down. vlans_ nodes never move, so the pointer stays valid.
     VlanState* state = nullptr;
-    // The sender's last two unicast resolutions, most recent first, valid
-    // while memo_gen == topology_gen_. An entry maps a destination's IP bits
-    // to find_by_ip()'s answer (invalid for none); {0, invalid} is always
-    // true, as no adapter holds the unspecified address.
+    // The sender's last two unicast resolutions, most recent first. An entry
+    // maps a destination's IP bits to find_by_ip()'s answer (invalid for
+    // none); {0, invalid} is always true, as no adapter holds the
+    // unspecified address.
     struct Resolved {
       std::uint32_t ip = 0;
       util::AdapterId to;
     };
-    std::uint64_t memo_gen = 0;
     std::array<Resolved, 2> memo{};
   };
+  static_assert(sizeof(Wiring) == 32);
   // Re-reads an adapter's record from its switch and port.
   void refresh_wiring(util::AdapterId id);
   // Anything that can change a find_by_ip() answer (IP assignment, port
   // VLAN, switch state, new wiring) calls this; it voids every memo.
-  void topology_changed() { ++topology_gen_; }
+  void topology_changed();
   // find_by_ip(w.vlan, dst) for sender record `w`, through its memo.
   [[nodiscard]] util::AdapterId resolve_unicast(Wiring& w, util::IpAddress dst);
 
@@ -281,9 +284,11 @@ class Fabric {
   util::Rng rng_;
   ChannelModel default_channel_;
 
-  std::vector<std::unique_ptr<Adapter>> adapters_;
+  // By value, one cache line each; a deque so adapter() references stay
+  // valid while later adapters are added.
+  std::deque<Adapter> adapters_;
   std::vector<Wiring> wiring_;  // parallel to adapters_
-  std::uint64_t topology_gen_ = 1;  // memos start stale (memo_gen 0)
+  std::uint32_t topology_gen_ = 1;  // memos start stale (memo_gen 0)
   std::vector<std::unique_ptr<Switch>> switches_;
   // ip bits -> adapters currently holding that ip (normally exactly one;
   // duplicates are representable because misconfiguration is a scenario
@@ -295,6 +300,12 @@ class Fabric {
   // any VLAN id.
   std::map<util::VlanId, VlanState> vlans_;
   std::map<std::uint16_t, std::uint64_t> frames_by_type_;
+  // Counter of each message type seen so far, pointing into
+  // frames_by_type_'s stable nodes, so a send bumps its type's count
+  // without a map walk. Types past the table (only malformed frames carry
+  // them) take the walk. Cleared with the map.
+  static constexpr std::size_t kTypeCounterSlots = 32;
+  std::array<std::uint64_t*, kTypeCounterSlots> type_counters_{};
   std::uint64_t total_frames_sent_ = 0;
   std::uint64_t total_bytes_sent_ = 0;
 

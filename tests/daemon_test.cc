@@ -269,5 +269,61 @@ TEST_F(DaemonTest, DispatchPoolIsBoundedByInFlightHighWater) {
   }
 }
 
+// A burst of datagrams arriving together all wait out their delays at once:
+// the pool grows to exactly the burst, drains back to empty, and serves a
+// second burst of the same size without growing. The frames are junk, so
+// the daemon drops each at dispatch; a raw adapter with no daemon sends
+// them, and the daemon has no peer to hear beyond it.
+TEST(DaemonPoolTest, BurstSizesThePoolAndASecondBurstReusesIt) {
+  Params params = quick_params();
+  params.proc_delay_mean = sim::milliseconds(5);
+  params.start_skew_max = 0;
+
+  sim::Simulator sim;
+  net::Fabric fabric(sim, util::Rng(9));
+  net::ChannelModel model;
+  model.base_latency = sim::microseconds(100);
+  model.jitter = 0;
+  fabric.set_default_channel(model);
+  const util::SwitchId sw = fabric.add_switch(4);
+  const util::AdapterId sender = fabric.add_adapter(util::NodeId(9));
+  fabric.attach(sender, sw, util::VlanId(1));
+  fabric.set_adapter_ip(sender, util::IpAddress(10, 0, 0, 9));
+  const util::AdapterId own = fabric.add_adapter(util::NodeId(0));
+  fabric.attach(own, sw, util::VlanId(1));
+  fabric.set_adapter_ip(own, util::IpAddress(10, 0, 0, 1));
+  net::FabricTransport transport(fabric, {own});
+  GsDaemon::Options opts;
+  opts.clock = &sim;
+  opts.transport = &transport;
+  opts.params = &params;
+  opts.node.node = util::NodeId(0);
+  opts.node.name = "pool";
+  opts.rng = util::Rng(3);
+  GsDaemon daemon(std::move(opts));
+  daemon.start();
+  sim.run_until(sim::milliseconds(1));  // receive handlers installed
+
+  constexpr std::size_t kBurst = 40;
+  const auto burst = [&] {
+    const sim::SimTime arrival = sim.now() + model.base_latency;
+    for (std::size_t i = 0; i < kBurst; ++i)
+      fabric.send(sender, util::IpAddress(10, 0, 0, 1),
+                  std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef});
+    // Every arrival runs before the first dispatch it schedules.
+    sim.run_until(arrival);
+    EXPECT_EQ(daemon.dispatches_in_flight(), kBurst);
+    EXPECT_EQ(daemon.dispatch_slots(), kBurst);
+    sim.run_until(sim.now() + sim::seconds(1));
+    EXPECT_EQ(daemon.dispatches_in_flight(), 0u);
+  };
+  burst();
+  const std::uint64_t dropped = daemon.frames_dropped();
+  EXPECT_EQ(dropped, kBurst);
+  burst();
+  EXPECT_EQ(daemon.dispatch_slots(), kBurst);
+  EXPECT_EQ(daemon.frames_dropped(), dropped + kBurst);
+}
+
 }  // namespace
 }  // namespace gs::proto

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "gs/fd.h"
@@ -353,7 +355,9 @@ class StandaloneFd {
     ctx.send = [this](util::IpAddress to, net::Payload frame) {
       sent_.push_back(SentFrame{sim_.now(), to, std::move(frame)});
     };
-    ctx.suspect = [](util::IpAddress) {};
+    ctx.suspect = [this](util::IpAddress ip) {
+      suspected_.emplace_back(sim_.now(), ip);
+    };
     ctx.encode_scratch = &scratch_;
     fd_.reset();
     fd_ = make_failure_detector(kind, std::move(ctx));
@@ -363,6 +367,11 @@ class StandaloneFd {
   [[nodiscard]] FailureDetector& fd() { return *fd_; }
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] const std::vector<SentFrame>& sent() const { return sent_; }
+  // Every suspicion raised, with the time it was raised.
+  [[nodiscard]] const std::vector<std::pair<sim::SimTime, util::IpAddress>>&
+  suspected() const {
+    return suspected_;
+  }
 
  private:
   sim::Simulator& sim_;
@@ -371,6 +380,7 @@ class StandaloneFd {
   MembershipView view_;
   wire::Writer scratch_;
   std::vector<SentFrame> sent_;
+  std::vector<std::pair<sim::SimTime, util::IpAddress>> suspected_;
   std::unique_ptr<FailureDetector> fd_;
 };
 
@@ -479,6 +489,150 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, FdRestart,
                                            FdKind::kAllToAll,
                                            FdKind::kSubgroupRing,
                                            FdKind::kRandomPing));
+
+// --- The deadline table ----------------------------------------------------------
+//
+// One deadline per monitored peer: a heartbeat from the peer moves it in
+// place, silence lets it expire into one suspicion and then the suspicion
+// hold, stop() cancels them all, and restart() keeps only the peers the new
+// view monitors. Self is host 3 of view 1 {6,5,4,3,2,1} (rank 3, so the
+// subgroup kind runs no leader polls); view 2 drops host 2.
+struct DeadlineCase {
+  FdKind kind;
+  std::vector<std::uint8_t> monitored;        // in view 1
+  std::vector<std::uint8_t> monitored_after;  // in view 2
+};
+
+// Names the case in test output (the default would dump its bytes).
+void PrintTo(const DeadlineCase& c, std::ostream* os) {
+  *os << to_string(c.kind);
+}
+
+class FdDeadlineTable : public ::testing::TestWithParam<DeadlineCase> {
+ protected:
+  static Heartbeat heartbeat(std::uint64_t view) {
+    Heartbeat hb{};
+    hb.view = view;
+    hb.seq = 1;
+    return hb;
+  }
+  // Delivers one heartbeat in `view` from each of `hosts`; each must be
+  // consumed.
+  static void beat(FailureDetector& fd, const std::vector<std::uint8_t>& hosts,
+                   std::uint64_t view) {
+    for (std::uint8_t h : hosts)
+      EXPECT_TRUE(fd.on_heartbeat(member(h).ip, heartbeat(view))) << int(h);
+  }
+  static sim::SimDuration timeout(const Params& p) {
+    return p.hb_period * p.hb_sensitivity + p.hb_period / 2;
+  }
+};
+
+TEST_P(FdDeadlineTable, HeartbeatsMoveEveryDeadline) {
+  const DeadlineCase& c = GetParam();
+  sim::Simulator sim;
+  StandaloneFd host(sim, c.kind, 6, 3);
+  const sim::SimDuration period = host.params().hb_period;
+  // The send timer plus one deadline per monitored peer.
+  ASSERT_EQ(sim.pending_events(), c.monitored.size() + 1);
+  for (int round = 1; round <= 50; ++round) {
+    sim.run_until(round * period);
+    beat(host.fd(), c.monitored, 1);
+    // Moved, not added: the count holds while heartbeats flow.
+    EXPECT_EQ(sim.pending_events(), c.monitored.size() + 1);
+  }
+  const sim::SimTime last = 50 * period;
+  sim.run_until(last + timeout(host.params()) - 1);
+  EXPECT_TRUE(host.suspected().empty());
+  // Every deadline counts from its peer's last heartbeat.
+  sim.run_until(last + timeout(host.params()));
+  ASSERT_EQ(host.suspected().size(), c.monitored.size());
+  std::set<util::IpAddress> suspects;
+  for (const auto& [at, ip] : host.suspected()) {
+    EXPECT_EQ(at, last + timeout(host.params()));
+    suspects.insert(ip);
+  }
+  std::set<util::IpAddress> expected;
+  for (std::uint8_t h : c.monitored) expected.insert(member(h).ip);
+  EXPECT_EQ(suspects, expected);
+}
+
+TEST_P(FdDeadlineTable, SilentPeerExpiresOnceThenHoldsOff) {
+  const DeadlineCase& c = GetParam();
+  sim::Simulator sim;
+  StandaloneFd host(sim, c.kind, 6, 3);
+  const Params& p = host.params();
+  std::vector<std::uint8_t> talking = c.monitored;
+  const std::uint8_t silent = talking.back();
+  talking.pop_back();
+  for (int round = 1; round <= 10; ++round) {
+    sim.run_until(round * p.hb_period);
+    beat(host.fd(), c.monitored, 1);
+  }
+  const sim::SimTime first = 10 * p.hb_period + timeout(p);
+  const sim::SimTime second = first + p.resuspect_hold;
+  for (int round = 11; sim.now() < second + p.hb_period; ++round) {
+    sim.run_until(round * p.hb_period);
+    beat(host.fd(), talking, 1);
+  }
+  using Raised = std::pair<sim::SimTime, util::IpAddress>;
+  EXPECT_EQ(host.suspected(),
+            (std::vector<Raised>{{first, member(silent).ip},
+                                 {second, member(silent).ip}}));
+}
+
+TEST_P(FdDeadlineTable, StopCancelsEveryDeadline) {
+  const DeadlineCase& c = GetParam();
+  sim::Simulator sim;
+  StandaloneFd host(sim, c.kind, 6, 3);
+  for (int round = 1; round <= 3; ++round) {
+    sim.run_until(round * host.params().hb_period);
+    beat(host.fd(), c.monitored, 1);
+  }
+  host.fd().stop();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_until(sim::seconds(60));
+  EXPECT_TRUE(host.suspected().empty());
+}
+
+TEST_P(FdDeadlineTable, RestartDropsPeersNoLongerMonitored) {
+  const DeadlineCase& c = GetParam();
+  sim::Simulator sim;
+  StandaloneFd host(sim, c.kind, 6, 3);
+  const sim::SimDuration period = host.params().hb_period;
+  sim.run_until(period);
+  beat(host.fd(), c.monitored, 1);
+  host.fd().restart(MembershipView::make(2, {member(6), member(5), member(4),
+                                             member(3), member(1)}),
+                    util::Rng(7));
+  EXPECT_EQ(sim.pending_events(), c.monitored_after.size() + 1);
+  EXPECT_FALSE(host.fd().on_heartbeat(member(2).ip, heartbeat(2)));
+  EXPECT_FALSE(host.fd().on_heartbeat(member(4).ip, heartbeat(1)));
+  // Host 2 stays silent past many of its old deadlines; only the peers the
+  // new view monitors are watched, and they keep talking.
+  for (int round = 2; round <= 100; ++round) {
+    sim.run_until(round * period);
+    beat(host.fd(), c.monitored_after, 2);
+  }
+  EXPECT_TRUE(host.suspected().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HeartbeatKinds, FdDeadlineTable,
+    ::testing::Values(
+        // Ring neighbours: ranks 2 and 4, then 4 and 1 once host 2 leaves.
+        DeadlineCase{FdKind::kBidirectionalRing, {4, 2}, {4, 1}},
+        DeadlineCase{FdKind::kAllToAll, {6, 5, 4, 2, 1}, {6, 5, 4, 1}},
+        // Subgroups of three: {3,2,1}, then {3,1}.
+        DeadlineCase{FdKind::kSubgroupRing, {2, 1}, {1}}),
+    [](const ::testing::TestParamInfo<DeadlineCase>& param) {
+      switch (param.param.kind) {
+        case FdKind::kBidirectionalRing: return std::string("BiRing");
+        case FdKind::kAllToAll: return std::string("AllToAll");
+        case FdKind::kSubgroupRing: return std::string("Subgroup");
+        default: return std::string("Other");
+      }
+    });
 
 // --- Consensus hints ------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -233,6 +234,46 @@ TEST_F(FabricTest, FrameTypeAccounting) {
   EXPECT_EQ(fabric_.frames_by_type().at(6), 2u);
   EXPECT_EQ(fabric_.frames_by_type().at(1), 1u);
   EXPECT_EQ(fabric_.total_frames_sent(), 3u);
+}
+
+TEST_F(FabricTest, FrameTypeAccountingAcrossResetAndUnusualTypes) {
+  auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
+  make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));
+  const util::IpAddress to(10, 0, 0, 2);
+  fabric_.send(a, to, test_frame(6));
+  fabric_.send(a, to, test_frame(6));
+  fabric_.reset_load_accounting();
+  EXPECT_TRUE(fabric_.frames_by_type().empty());
+  // Counting resumes from zero after the reset, for common types, a type
+  // number past every message type, and a frame too short to carry one.
+  fabric_.send(a, to, test_frame(6));
+  fabric_.send(a, to, test_frame(300));
+  fabric_.send(a, to, std::vector<std::uint8_t>{1, 2, 3});
+  fabric_.send(a, to, test_frame(6));
+  const std::map<std::uint16_t, std::uint64_t> expected{
+      {6, 2}, {300, 1}, {0xFFFF, 1}};
+  EXPECT_EQ(fabric_.frames_by_type(), expected);
+  EXPECT_EQ(fabric_.total_frames_sent(), 4u);
+}
+
+TEST_F(FabricTest, AdapterReferencesSurviveLaterAdds) {
+  auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
+  auto b = make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));
+  const Adapter* first = &fabric_.adapter(a);
+  Adapter& receiver = fabric_.adapter(b);
+  for (std::uint32_t i = 0; i < 500; ++i)
+    fabric_.add_adapter(util::NodeId(100 + i));
+  EXPECT_EQ(&fabric_.adapter(a), first);
+  EXPECT_EQ(&fabric_.adapter(b), &receiver);
+  EXPECT_EQ(receiver.id(), b);
+  EXPECT_EQ(receiver.ip(), util::IpAddress(10, 0, 0, 2));
+  // A handler installed through the early reference is the one delivery
+  // uses.
+  int received = 0;
+  receiver.set_receive_handler([&](const Datagram&) { ++received; });
+  fabric_.send(a, util::IpAddress(10, 0, 0, 2), test_frame());
+  sim_.run();
+  EXPECT_EQ(received, 1);
 }
 
 TEST_F(FabricTest, MulticastCountsDeadSwitchReceiversUnreachable) {
