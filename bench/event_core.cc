@@ -12,8 +12,9 @@
 //              monitored adapters). The deadline mix is what splits the
 //              implementations: near-term delivery pushes sift through the
 //              heap's suspicion-laden top on the way in *and* on the way
-//              out, while the wheel files them O(1) and drains each dense
-//              bucket through a cursor.
+//              out, while the wheel links them into a bucket list in O(1)
+//              and pops them off its head; a re-arm unlinks and relinks
+//              one node.
 //   push-pop — the bare scheduling funnel: push a batch of staggered
 //              deadlines, drain it, repeat. No cancellation, no re-arm.
 //
@@ -29,6 +30,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -43,6 +45,7 @@ using gs::sim::SimTime;
 constexpr SimTime kSuspect = 2'000'000;  // suspicion deadline: 2 s
 constexpr SimTime kPeriod = 250'000;     // heartbeat period: 250 ms
 constexpr SimTime kLatency = 150;        // delivery latency: 150 us
+constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 
 struct MicroResult {
   double ns_per_op = 0;
@@ -70,16 +73,13 @@ MicroResult run_rearm(std::size_t monitors, std::size_t ops, std::size_t fan) {
   }
 
   std::uint64_t checksum = 0;
-  // Peek-then-pop, exactly as every library consumer drives the queue
-  // (Simulator::run_until and WallClock::run_due both check next_time()
-  // against a deadline before popping).
-  // Folding the peek into the checksum doubles as a cross-check that the
-  // peek and the pop agree.
+  // One pop_due per event, as every library consumer drives the queue
+  // (Simulator::run_until and WallClock::run_due pass their deadline as
+  // the cutoff).
   auto spin = [&](std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       cur = kNoPeer;
-      checksum = checksum * 31 + static_cast<std::uint64_t>(q.next_time());
-      auto [when, fn] = q.pop();
+      auto [when, fn] = *q.pop_due(kForever);
       fn();
       checksum = checksum * 31 + static_cast<std::uint64_t>(when);
       if (cur == kNoPeer) continue;  // a frame delivery, not a beacon
@@ -119,9 +119,8 @@ MicroResult run_push_pop(std::size_t batch, std::size_t rounds) {
           static_cast<SimTime>((i * 2654435761u) % (16 * kPeriod));
       q.push(base + scatter, [&fired] { ++fired; });
     }
-    while (!q.empty()) {
-      checksum = checksum * 31 + static_cast<std::uint64_t>(q.next_time());
-      auto [when, fn] = q.pop();
+    while (auto ev = q.pop_due(kForever)) {
+      auto& [when, fn] = *ev;
       fn();
       checksum = checksum * 31 + static_cast<std::uint64_t>(when);
       base = when;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 namespace gs::sim {
 
@@ -12,399 +13,221 @@ constexpr std::uint64_t encode_id(std::uint32_t slot, std::uint32_t gen) {
          (static_cast<std::uint64_t>(slot) + 1);
 }
 
-// The stale sweep triggers only once the stale population both exceeds a
-// floor (so small queues never pay it) and outnumbers the live entries (so
-// the O(entries) sweep amortizes to O(1) per cancel).
-constexpr std::size_t kCompactFloor = 64;
-
-bool entry_before(SimTime when_a, std::uint64_t seq_a, SimTime when_b,
-                  std::uint64_t seq_b) {
-  if (when_a != when_b) return when_a < when_b;
-  return seq_a < seq_b;
-}
-
 }  // namespace
 
-EventQueue::EventQueue() : buckets_(kLevels * kBuckets) {}
+std::uint32_t EventQueue::pending_slot(EventId id) const {
+  // id 0 decodes to slot kNil, which is never in range.
+  const auto slot = static_cast<std::uint32_t>((id & 0xFFFF'FFFFull) - 1);
+  if (slot >= nodes_.size() ||
+      nodes_[slot].gen != static_cast<std::uint32_t>(id >> 32))
+    return kNil;
+  return slot;
+}
 
-void EventQueue::file(const Entry& e) {
+void EventQueue::file(std::uint32_t slot) {
+  Node& n = nodes_[slot];
   const auto now_u = static_cast<std::uint64_t>(wheel_now_);
-  // Past deadlines (possible through WallClock's monotonic-now clamp racing
-  // real time, and through pushes interleaved with pops in the property
-  // tests) clamp into the current bucket for *positioning* only; the entry
-  // keeps its true (when, seq) key, so it still pops first.
-  const std::uint64_t w = std::max(static_cast<std::uint64_t>(e.when), now_u);
+  // A past deadline (a direct queue user may push one) clamps into the
+  // current bucket for *positioning* only; the node keeps its true
+  // (when, seq) key, so it still pops first.
+  const std::uint64_t w = std::max(static_cast<std::uint64_t>(n.when), now_u);
   const std::uint64_t diff = w ^ now_u;
   const int level =
       diff == 0 ? 0 : (63 - std::countl_zero(diff)) / kLevelBits;
-  const int idx = byte_of(w, level);
-  Bucket& b = bucket(level, idx);
-  if (level == 0 && idx == byte_of(now_u, 0)) {
-    // Appending into the (possibly partially drained) current bucket: the
-    // common case — a deadline at or past the tail — keeps it sorted; an
-    // out-of-order append (past-time push, cascade interleave) flips the
-    // flag and pop() re-sorts lazily.
-    if (cur_sorted_ && b.size() > cur_idx_) {
-      const Entry& tail = b.back();
-      if (entry_before(e.when, e.seq, tail.when, tail.seq))
-        cur_sorted_ = false;
-    }
+  const auto b =
+      static_cast<std::uint32_t>(level * kBuckets + byte_of(w, level));
+  Bucket& bucket = buckets_[b];
+  // Appends keep every list in (when, seq) order; only the current bucket
+  // can receive a node that sorts before its tail (a clamped past deadline),
+  // and that node walks back to its place.
+  std::uint32_t after = bucket.tail;
+  if (diff == 0) {
+    while (after != kNil && (nodes_[after].when > n.when ||
+                             (nodes_[after].when == n.when &&
+                              nodes_[after].seq > n.seq)))
+      after = nodes_[after].prev;
   }
-  b.push_back(e);
-  set_occ(level, idx);
+  n.list = b;
+  n.prev = after;
+  if (after == kNil) {
+    n.next = bucket.head;
+    bucket.head = slot;
+  } else {
+    n.next = nodes_[after].next;
+    nodes_[after].next = slot;
+  }
+  (n.next == kNil ? bucket.tail : nodes_[n.next].prev) = slot;
+  occ_[b >> 6] |= 1ull << (b & 63);
+}
+
+void EventQueue::unlink(std::uint32_t slot) {
+  const Node& n = nodes_[slot];
+  Bucket& bucket = buckets_[n.list];
+  (n.prev == kNil ? bucket.head : nodes_[n.prev].next) = n.next;
+  (n.next == kNil ? bucket.tail : nodes_[n.next].prev) = n.prev;
+  if (bucket.head == kNil) occ_[n.list >> 6] &= ~(1ull << (n.list & 63));
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Node& n = nodes_[slot];
+  ++n.gen;
+  n.list = kNil;
+  n.next = free_head_;
+  free_head_ = slot;
 }
 
 EventId EventQueue::push(SimTime when, std::function<void()> fn) {
   GS_CHECK(fn != nullptr);
   GS_CHECK(when >= 0);
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slot_gen_.size());
-    slot_gen_.emplace_back();
-    slot_when_.emplace_back();
-    slot_fn_.emplace_back();
+  std::uint32_t slot = free_head_;
+  if (slot == kNil) {
+    slot = static_cast<std::uint32_t>(nodes_.size());
+    GS_CHECK(slot != kNil);
+    nodes_.push_back(Node{0, 0, kNil, kNil, 0, kNil});
+    fns_.emplace_back();
   } else {
-    slot = free_.back();
-    free_.pop_back();
+    free_head_ = nodes_[slot].next;
   }
-  slot_fn_[slot] = std::move(fn);
-  slot_when_[slot] = when;
-  const std::uint32_t gen = slot_gen_[slot];
-  file(Entry{when, next_seq_++, slot, gen});
+  fns_[slot] = std::move(fn);
+  Node& n = nodes_[slot];
+  n.when = when;
+  n.seq = next_seq_++;
+  file(slot);
   ++live_;
-  high_water_ = std::max(high_water_, live_);
-  if (min_valid_ && when < min_when_) min_when_ = when;
-  return encode_id(slot, gen);
+  return encode_id(slot, n.gen);
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (id == 0) return false;
-  const auto slot = static_cast<std::uint32_t>((id & 0xFFFF'FFFFull) - 1);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slot_gen_.size() || slot_gen_[slot] != gen) return false;
-  const SimTime when = slot_when_[slot];
-  release_slot(slot);  // frees the callback (and its captures) eagerly
-  GS_CHECK(live_ > 0);
+  const std::uint32_t slot = pending_slot(id);
+  if (slot == kNil) return false;
+  fns_[slot] = nullptr;  // frees the callback (and its captures) eagerly
+  unlink(slot);
+  release(slot);
   --live_;
-  ++stale_;
-  if (min_valid_ && when <= min_when_) min_valid_ = false;
-  maybe_compact();
   return true;
 }
 
 EventId EventQueue::reschedule(EventId id, SimTime when) {
-  if (id == 0) return 0;
   GS_CHECK(when >= 0);
-  const auto slot = static_cast<std::uint32_t>((id & 0xFFFF'FFFFull) - 1);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slot_gen_.size() || slot_gen_[slot] != gen) return 0;
-  const SimTime old_when = slot_when_[slot];
-  const std::uint32_t new_gen = ++slot_gen_[slot];
-  // the old wheel entry is now stale; the callback stays in place
-  ++stale_;
-  slot_when_[slot] = when;
-  file(Entry{when, next_seq_++, slot, new_gen});
-  if (min_valid_) {
-    if (when < min_when_)
-      min_when_ = when;
-    else if (old_when <= min_when_)
-      min_valid_ = false;
-  }
-  maybe_compact();
-  return encode_id(slot, new_gen);
+  const std::uint32_t slot = pending_slot(id);
+  if (slot == kNil) return 0;
+  unlink(slot);
+  Node& n = nodes_[slot];
+  n.when = when;
+  n.seq = next_seq_++;
+  ++n.gen;
+  file(slot);
+  return encode_id(slot, n.gen);
 }
 
-void EventQueue::release_slot(std::uint32_t slot) {
-  slot_fn_[slot] = nullptr;
-  ++slot_gen_[slot];
-  free_.push_back(slot);
-}
-
-void EventQueue::prepare_current() {
-  Bucket& cur = current_bucket();
-  if (cur_idx_ > 0) {
-    // The prefix was already consumed (popped live entries and skipped stale
-    // ones, both accounted at consumption time).
-    cur.erase(cur.begin(),
-              cur.begin() + static_cast<std::ptrdiff_t>(cur_idx_));
-    cur_idx_ = 0;
-  }
-  const auto removed =
-      std::erase_if(cur, [this](const Entry& e) { return stale(e); });
-  GS_CHECK(stale_ >= removed);
-  stale_ -= removed;
-  if (!cur_sorted_) {
-    std::sort(cur.begin(), cur.end(), [](const Entry& a, const Entry& b) {
-      return entry_before(a.when, a.seq, b.when, b.seq);
-    });
-    cur_sorted_ = true;
-  }
-  if (cur.empty()) clear_occ(0, byte_of(static_cast<std::uint64_t>(wheel_now_), 0));
-}
-
-void EventQueue::purge_bucket(int level, int idx) {
-  Bucket& b = bucket(level, idx);
-  for (const Entry& e : b) {
-    GS_CHECK(stale(e));
-    GS_CHECK(stale_ > 0);
-    --stale_;
-  }
-  b.clear();
-  clear_occ(level, idx);
-}
-
-SimTime EventQueue::find_min_live() {
+std::uint32_t EventQueue::next_bucket() const {
   const auto now_u = static_cast<std::uint64_t>(wheel_now_);
   for (int level = 0; level < kLevels; ++level) {
-    // Live entries at this level always sit strictly ahead of the wheel's
-    // byte (filing guarantees it); buckets at or behind it hold only stale
-    // leftovers and are reclaimed when the level next laps.
-    const int start = byte_of(now_u, level) + 1;
-    for (int word = start >> 6; word < kOccWords; ++word) {
-      std::uint64_t bits = occ_[level][word];
-      if (word == (start >> 6) && (start & 63) != 0)
-        bits &= ~0ull << (start & 63);
-      while (bits != 0) {
-        const int idx = word * 64 + std::countr_zero(bits);
-        bits &= bits - 1;
-        const Bucket& b = bucket(level, idx);
-        std::size_t i = 0;
-        while (i < b.size() && stale(b[i])) ++i;
-        if (i == b.size()) {
-          purge_bucket(level, idx);
-          continue;
-        }
-        SimTime best = b[i].when;
-        // Live entries in one level-0 bucket all name the same microsecond
-        // (they differ from the wheel position only in byte 0, and byte 0
-        // *is* the bucket index), so the first live entry is the bucket
-        // minimum; only coarser buckets need the full scan.
-        if (level > 0) {
-          for (++i; i < b.size(); ++i)
-            if (!stale(b[i]) && b[i].when < best) best = b[i].when;
-        }
-        return best;
-      }
+    // Occupied buckets always sit strictly ahead of the wheel's byte at
+    // their level (filing guarantees it, and moving the wheel onto a
+    // bucket's byte cascades that bucket); at level 0 this skips the
+    // current bucket, which the caller checks first.
+    const int start = level * kBuckets + byte_of(now_u, level) + 1;
+    const int end = (level + 1) * kBuckets;
+    for (int word = start >> 6; word < end >> 6; ++word) {
+      std::uint64_t bits = occ_[static_cast<std::size_t>(word)];
+      if (word == start >> 6) bits &= ~0ull << (start & 63);
+      if (bits != 0)
+        return static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits));
     }
   }
-  GS_CHECK(false);  // live_ > 0: a live entry must exist somewhere
-  return 0;
+  return kNil;
 }
 
-void EventQueue::advance() {
-  // Precondition (pop's drain loop): the current bucket has nothing live at
-  // or after the cursor; anything left there is unaccounted stale.
-  Bucket& cur = current_bucket();
-  GS_CHECK(stale_ >= cur.size() - cur_idx_);
-  stale_ -= cur.size() - cur_idx_;
-  cur.clear();
-  clear_occ(0, byte_of(static_cast<std::uint64_t>(wheel_now_), 0));
-  cur_idx_ = 0;
-
-  // A valid min cache (set by a next_time() peek — the run loops all peek
-  // before popping — or by a push) names the exact next live deadline, so
-  // the scan can be skipped outright. find_min_live also purges all-stale
-  // buckets as a side effect; skipping defers that cleanup to the lap
-  // purges below and to the stale sweep, which is harmless: such buckets
-  // end up behind the wheel's byte at their level, where no scan visits
-  // them.
-  SimTime t;
-  if (min_valid_) {
-    t = min_when_;
-  } else {
-    t = find_min_live();
+bool EventQueue::advance(SimTime cutoff) {
+  const std::uint32_t b = next_bucket();
+  GS_CHECK(b != kNil);  // live_ > 0 and the current bucket is drained
+  const int level = static_cast<int>(b) / kBuckets;
+  const int shift = level * kLevelBits;
+  // The bucket's first microsecond: the wheel's bytes above `level`, the
+  // bucket's byte at it, zeros below. Every level below is empty (b is the
+  // lowest occupied), so moving there strands no node behind the wheel.
+  const int above_shift = shift + kLevelBits;
+  const auto now_u = static_cast<std::uint64_t>(wheel_now_);
+  const std::uint64_t above =
+      level == kLevels - 1 ? 0 : now_u >> above_shift << above_shift;
+  const auto start = static_cast<SimTime>(
+      above | (static_cast<std::uint64_t>(b % kBuckets) << shift));
+  if (start > cutoff) return false;
+  wheel_now_ = start;
+  if (level == 0) return true;  // b is now the current bucket
+  // Cascade: every node differs from the new position only below `level`,
+  // so each lands in a finer bucket — all empty until now, which keeps the
+  // replayed (seq-ordered) list in order.
+  std::uint32_t slot = buckets_[b].head;
+  buckets_[b] = Bucket{};
+  occ_[b >> 6] &= ~(1ull << (b & 63));
+  while (slot != kNil) {
+    const std::uint32_t next = nodes_[slot].next;
+    file(slot);
+    slot = next;
   }
-  const auto old_u = static_cast<std::uint64_t>(wheel_now_);
-  const auto new_u = static_cast<std::uint64_t>(t);
-  const std::uint64_t diff = old_u ^ new_u;
-  GS_CHECK(diff != 0);  // a live event at wheel_now_ would be in cur
-  wheel_now_ = t;
-
-  // Highest byte the move changes. Every completed lap below it holds only
-  // stale leftovers: a live entry there would name a time before t,
-  // contradicting t being the minimum.
-  const int lc = (63 - std::countl_zero(diff)) / kLevelBits;
-  for (int level = 0; level < lc; ++level) {
-    for (int word = 0; word < kOccWords; ++word) {
-      std::uint64_t bits = occ_[level][word];
-      while (bits != 0) {
-        const int idx = word * 64 + std::countr_zero(bits);
-        bits &= bits - 1;
-        purge_bucket(level, idx);
-      }
-    }
-  }
-  // Level-lc buckets strictly between the old and new byte hold only stale
-  // leftovers (a live entry there would precede t). On the slow path
-  // find_min_live just purged them; on the cached-min path they stay parked
-  // behind the wheel's byte — bytes only increase within a level until a
-  // coarser crossing laps it, so no scan revisits them before the lap purge
-  // above (or the stale sweep) reclaims them.
-  const int nb = byte_of(new_u, lc);
-  // Cascade the one bucket covering t down to its final levels. Refiling is
-  // direct against the new position — entries land at levels < lc (live
-  // ones at exactly t land in the new current bucket), so no recursion.
-  if (lc > 0) {
-    // Swap through a member scratch bucket so vector capacities circulate
-    // between the wheel's buckets instead of being freed every cascade —
-    // keeps the steady-state re-arm cycle allocation-free.
-    cascade_scratch_.clear();
-    cascade_scratch_.swap(bucket(lc, nb));
-    clear_occ(lc, nb);
-    for (const Entry& e : cascade_scratch_) {
-      if (stale(e)) {
-        GS_CHECK(stale_ > 0);
-        --stale_;
-        continue;
-      }
-      file(e);
-    }
-  }
-  // The new current bucket needs no sort. Every bucket accumulates appends
-  // in increasing seq order (direct files consume fresh seqs over time, and
-  // a cascade replays a bucket's own seq-ordered run into provably-empty
-  // finer buckets before any fresh direct file can land there). Live
-  // level-0 entries all share one microsecond — only the current bucket
-  // ever holds clamped past-deadline pushes, and this bucket just stopped
-  // being drained history: any such push lands *after* this advance and
-  // runs file()'s tail check. Seq order on a shared `when` is (when, seq)
-  // order; stale leftovers from earlier laps sit anywhere but are skipped
-  // by generation, not by position.
-  cur_sorted_ = true;
-}
-
-void EventQueue::maybe_compact() {
-  // The wheel is naturally stale-tolerant: dead entries cost nothing until
-  // the cascade that covers them, which drops them for free. The sweep only
-  // bounds memory, so it can afford a laxer trigger than the heap's
-  // stale > live — entries stay bounded at ~5x live, and the steady-state
-  // re-arm cycle (1 stale per re-arm, dropped ~one deadline later) almost
-  // never trips it.
-  if (stale_ < kCompactFloor || stale_ <= 4 * live_) return;
-  // Entries never move between buckets here — their filed positions remain
-  // valid relative to wheel_now_ — so pop order is untouched.
-  prepare_current();
-  const int cur = byte_of(static_cast<std::uint64_t>(wheel_now_), 0);
-  for (int level = 0; level < kLevels; ++level) {
-    for (int word = 0; word < kOccWords; ++word) {
-      std::uint64_t bits = occ_[level][word];
-      while (bits != 0) {
-        const int idx = word * 64 + std::countr_zero(bits);
-        bits &= bits - 1;
-        if (level == 0 && idx == cur) continue;  // prepare_current did it
-        Bucket& b = bucket(level, idx);
-        const auto removed =
-            std::erase_if(b, [this](const Entry& e) { return stale(e); });
-        GS_CHECK(stale_ >= removed);
-        stale_ -= removed;
-        if (b.empty()) clear_occ(level, idx);
-      }
-    }
-  }
+  return true;
 }
 
 SimTime EventQueue::next_time() const {
   GS_CHECK(!empty());
-  if (min_valid_) return min_when_;
-  SimTime best = 0;
-  bool found = false;
-  // Anything live in the current bucket is at or before wheel_now_; all
-  // other live entries are strictly after it. So the current bucket wins
-  // whenever it is non-empty.
-  const Bucket& cur = current_bucket();
-  for (std::size_t i = cur_idx_; i < cur.size(); ++i) {
-    const Entry& e = cur[i];
-    if (stale(e)) continue;
-    if (!found || e.when < best) best = e.when;
-    found = true;
-    if (cur_sorted_) break;  // first live entry is the bucket minimum
+  std::uint32_t slot = buckets_[current_bucket()].head;
+  if (slot != kNil) return nodes_[slot].when;
+  const std::uint32_t b = next_bucket();
+  GS_CHECK(b != kNil);
+  slot = buckets_[b].head;
+  SimTime best = nodes_[slot].when;
+  // A level-0 bucket's nodes share one microsecond; a coarse one is walked.
+  if (b >= kBuckets) {
+    for (slot = nodes_[slot].next; slot != kNil; slot = nodes_[slot].next)
+      best = std::min(best, nodes_[slot].when);
   }
-  if (!found) {
-    const auto now_u = static_cast<std::uint64_t>(wheel_now_);
-    for (int level = 0; level < kLevels && !found; ++level) {
-      const int start = byte_of(now_u, level) + 1;
-      for (int word = start >> 6; word < kOccWords && !found; ++word) {
-        std::uint64_t bits = occ_[level][word];
-        if (word == (start >> 6) && (start & 63) != 0)
-          bits &= ~0ull << (start & 63);
-        while (bits != 0 && !found) {
-          const int idx = word * 64 + std::countr_zero(bits);
-          bits &= bits - 1;
-          for (const Entry& e : bucket(level, idx)) {
-            if (stale(e)) continue;
-            if (!found || e.when < best) best = e.when;
-            found = true;
-          }
-        }
-      }
-    }
-  }
-  GS_CHECK(found);
-  min_when_ = best;
-  min_valid_ = true;
   return best;
 }
 
-std::pair<SimTime, std::function<void()>> EventQueue::pop() {
-  GS_CHECK(!empty());
-  // min_valid_ is deliberately left standing here: if the current bucket is
-  // already drained, advance() consumes the cached minimum (typically set by
-  // the run loop's next_time() peek) instead of re-scanning the wheel.
+std::optional<EventQueue::Event> EventQueue::pop_due(SimTime cutoff) {
   for (;;) {
-    if (!cur_sorted_) prepare_current();
-    Bucket& cur = current_bucket();
-    while (cur_idx_ < cur.size() && stale(cur[cur_idx_])) {
-      ++cur_idx_;  // skipped == logically removed; entry erased later
-      GS_CHECK(stale_ > 0);
-      --stale_;
-    }
-    if (cur_idx_ < cur.size()) {
-      const Entry e = cur[cur_idx_++];
-      std::function<void()> fn = std::move(slot_fn_[e.slot]);
-      // Moved-from means already empty: bump the generation and recycle the
-      // slot directly instead of paying release_slot's callback reset.
-      ++slot_gen_[e.slot];
-      free_.push_back(e.slot);
+    const std::uint32_t slot = buckets_[current_bucket()].head;
+    if (slot != kNil) {
+      const SimTime when = nodes_[slot].when;
+      if (when > cutoff) return std::nullopt;
+      unlink(slot);
+      // Moved-from leaves the slot's callback empty, as release requires.
+      std::optional<Event> ev(std::in_place, when, std::move(fns_[slot]));
+      release(slot);
       --live_;
-      // Refresh the min cache from the cursor: the current bucket is sorted
-      // and any live entry in it precedes everything filed ahead of the
-      // wheel, so the next live entry here is the global minimum. This keeps
-      // the peek-then-pop run loops O(1) on the peek.
-      min_valid_ = false;
-      if (cur_idx_ < cur.size()) {
-        const Entry& n = cur[cur_idx_];
-        if (!stale(n)) {
-          min_when_ = n.when;
-          min_valid_ = true;
-        }
-      }
-      return {e.when, std::move(fn)};
+      return ev;
     }
-    advance();
+    if (live_ == 0 || !advance(cutoff)) return std::nullopt;
   }
 }
 
+EventQueue::Event EventQueue::pop() {
+  auto ev = pop_due(std::numeric_limits<SimTime>::max());
+  GS_CHECK(ev.has_value());
+  return std::move(*ev);
+}
+
 void EventQueue::clear() {
-  for (int level = 0; level < kLevels; ++level) {
-    for (int word = 0; word < kOccWords; ++word) {
-      std::uint64_t bits = occ_[level][word];
-      while (bits != 0) {
-        const int idx = word * 64 + std::countr_zero(bits);
-        bits &= bits - 1;
-        bucket(level, idx).clear();
-      }
-      occ_[level][word] = 0;
-    }
+  buckets_.fill(Bucket{});
+  occ_.fill(0);
+  free_head_ = kNil;
+  for (std::uint32_t slot = 0; slot < nodes_.size(); ++slot) {
+    fns_[slot] = nullptr;
+    release(slot);  // gen bump: every outstanding id goes stale
   }
-  free_.clear();
-  for (std::uint32_t slot = 0; slot < slot_gen_.size(); ++slot)
-    release_slot(slot);  // gen bump: every outstanding id goes stale
   live_ = 0;
-  stale_ = 0;
-  cur_idx_ = 0;
-  cur_sorted_ = true;
-  min_valid_ = false;
   // wheel_now_ is retained: a cleared queue can keep scheduling forward.
+}
+
+std::size_t EventQueue::entry_count() const {
+  std::size_t n = 0;
+  for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
+    GS_CHECK(occupied(b) == (buckets_[b].head != kNil));
+    for (std::uint32_t s = buckets_[b].head; s != kNil; s = nodes_[s].next) ++n;
+  }
+  return n;
 }
 
 }  // namespace gs::sim

@@ -7,41 +7,39 @@
 // overflow list. An event is filed by the highest byte in which its deadline
 // differs from the wheel's current position (`wheel_now_`): near events land
 // at level 0 (1 us tick, one bucket per distinct microsecond mod 256),
-// farther ones at coarser levels (level L has a 256^L-us tick). Advancing to
-// the next deadline cascades exactly one coarse bucket down — each entry is
-// refiled directly against the new position, so an event is touched at most
-// once per level between push and pop (<= 8 times, ~2-3 in practice).
+// farther ones at coarser levels (level L has a 256^L-us tick). When the
+// current bucket is drained the wheel moves to the start of the first
+// occupied bucket at the lowest level and, if that bucket is coarse,
+// cascades it — each event is refiled against the new position, so it is
+// touched at most once per level between push and pop (<= 8 times).
+//
+// Storage (Varghese & Lauck's intrusive-list wheel): each pending event is
+// one node in a slot array, linked into its bucket through 32-bit next/prev
+// indices; a bucket is just a {head, tail} pair. cancel() and reschedule()
+// unlink the node in O(1), so no dead entry is ever left behind and the
+// queue's memory is slot_count() nodes — exactly the high water of
+// concurrently pending events. Freed slots are recycled LIFO through the
+// same next link; the callback lives in a parallel array and is released
+// eagerly at cancel time.
 //
 // Determinism: the sequence number is a monotonic push counter, so ordering
 // of same-timestamp events is stable (FIFO in scheduling order) — which is
-// what keeps whole-farm runs bit-for-bit reproducible. The wheel maintains
-// the invariant that every live entry at or below the wheel position sits in
-// the *current* level-0 bucket; that bucket is sorted by (when, seq) and
-// drained through a cursor, so pops come out in exactly the heap's order.
-// Entries cascading into a bucket can interleave in seq with entries pushed
-// there directly, hence the sort; appends that already respect the tail
-// order (the common case) keep the bucket sorted without re-sorting.
+// what keeps whole-farm runs bit-for-bit reproducible. Every list is kept in
+// (when, seq) order: appends consume fresh seqs, and a cascade replays an
+// ordered list into buckets that are provably empty. The one out-of-order
+// file, a past deadline clamped into the current bucket, walks back from
+// the tail to its (when, seq) place. Pops take the current bucket's head.
 //
-// Cancellation is lazy and O(1), as before: a cancelled event's entry stays
-// in its bucket and is skipped/purged later. Storage is bounded under
-// cancel/re-arm churn by the same two mechanisms as the heap:
-//  * callback slots are generation-tagged and recycled through a free list,
-//    so the slot pool peaks at the maximum number of *concurrently* pending
-//    events (the callback — and whatever its closure pins — is released
-//    eagerly at cancel time);
-//  * when stale (cancelled/superseded) entries outnumber live ones, every
-//    bucket is swept in place. Neither sweep nor cascade can change pop
-//    order: (when, seq) is a total order and entry keys are never rewritten.
-//
-// reschedule() moves a live event to a new deadline without releasing its
-// callback: the slot keeps its std::function, only the generation bumps and
-// a fresh (when, seq) entry is filed. Ordering is exactly as if the event
-// had been cancelled and re-pushed — this is the allocation-free heartbeat
-// re-arm fast path (sim::Timer::rearm).
+// reschedule() moves a live event to a new deadline without touching its
+// callback: only the generation bumps and the node is refiled with a fresh
+// seq. Ordering is exactly as if the event had been cancelled and re-pushed
+// — this is the allocation-free heartbeat re-arm fast path (Timer::rearm).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -56,7 +54,9 @@ using EventId = std::uint64_t;
 
 class EventQueue {
  public:
-  EventQueue();
+  using Event = std::pair<SimTime, std::function<void()>>;
+
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -78,13 +78,19 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  // Time of the earliest pending (non-cancelled) event. Requires !empty().
-  // Const peek: the result is memoized, so back-to-back peeks are O(1); the
-  // wheel itself is not restructured.
+  // Time of the earliest pending event. Requires !empty(). A const peek:
+  // when the current bucket is drained it scans for the next one (and
+  // walks it, if coarse) without moving the wheel.
   [[nodiscard]] SimTime next_time() const;
 
+  // Removes and returns the earliest pending event if its time is
+  // <= cutoff; nullopt if the queue is empty or nothing is due. The run
+  // loops' one call per event: the peek is the pop. The wheel never moves
+  // past the cutoff, so a later push at or after it is never clamped.
+  std::optional<Event> pop_due(SimTime cutoff);
+
   // Removes and returns the earliest pending event. Requires !empty().
-  std::pair<SimTime, std::function<void()>> pop();
+  Event pop();
 
   // Drops every pending event without running it, releasing the callbacks
   // (and whatever their closures pin) immediately. Outstanding EventIds are
@@ -93,106 +99,74 @@ class EventQueue {
   void clear();
 
   // --- Introspection (tests/benches/obs) ----------------------------------
-  // Size of the slot pool: peaks at the high-water mark of concurrently
-  // pending events, independent of how many were ever pushed.
-  [[nodiscard]] std::size_t slot_count() const { return slot_gen_.size(); }
-  // Wheel entries, live + stale; bounded at ~2x live by the stale sweep.
-  [[nodiscard]] std::size_t entry_count() const { return live_ + stale_; }
-  // Historical name from the heap implementation; same bound, kept so churn
-  // tests read identically against both implementations.
-  [[nodiscard]] std::size_t heap_size() const { return entry_count(); }
-  // Maximum number of concurrently live events ever observed.
-  [[nodiscard]] std::size_t high_water() const { return high_water_; }
+  // Size of the slot pool, i.e. the queue's whole per-event storage. A new
+  // slot is made only when every slot is pending, so this *is* the
+  // high-water mark of concurrently pending events.
+  [[nodiscard]] std::size_t slot_count() const { return nodes_.size(); }
+  [[nodiscard]] std::size_t high_water() const { return slot_count(); }
+  // Nodes reachable from the bucket lists, counted by walking them (and
+  // checking each bucket's occupancy bit); equals size() — there is no
+  // stale entry. O(buckets + entries): for tests.
+  [[nodiscard]] std::size_t entry_count() const;
 
  private:
   static constexpr int kLevels = 8;       // one per timestamp byte
   static constexpr int kLevelBits = 8;    // 256-way fan-out per level
   static constexpr int kBuckets = 1 << kLevelBits;
-  static constexpr int kOccWords = kBuckets / 64;
+  static constexpr std::uint32_t kNil = 0xFFFF'FFFF;
 
-  // An entry does not own the callback — it names a slot plus the generation
-  // it was filed under. An entry whose generation no longer matches its slot
-  // is stale (the event fired, was cancelled or rescheduled, and the slot
-  // may since have been reused).
-  struct Entry {
+  // One slot. A pending node is linked into bucket `list` (level * kBuckets
+  // + byte); a free node has list == kNil and chains the free list through
+  // `next`. `gen` bumps on every release and reschedule, killing old ids.
+  struct Node {
     SimTime when;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t next;
+    std::uint32_t prev;
     std::uint32_t gen;
+    std::uint32_t list;
+  };
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
 
-  using Bucket = std::vector<Entry>;
-
-  [[nodiscard]] bool stale(const Entry& e) const {
-    return slot_gen_[e.slot] != e.gen;
-  }
   [[nodiscard]] static int byte_of(std::uint64_t t, int level) {
     return static_cast<int>((t >> (level * kLevelBits)) & (kBuckets - 1));
   }
-  [[nodiscard]] Bucket& bucket(int level, int idx) {
-    return buckets_[static_cast<std::size_t>(level * kBuckets + idx)];
+  [[nodiscard]] std::uint32_t current_bucket() const {
+    return static_cast<std::uint32_t>(
+        byte_of(static_cast<std::uint64_t>(wheel_now_), 0));
   }
-  [[nodiscard]] const Bucket& bucket(int level, int idx) const {
-    return buckets_[static_cast<std::size_t>(level * kBuckets + idx)];
-  }
-  [[nodiscard]] Bucket& current_bucket() {
-    return bucket(0, byte_of(static_cast<std::uint64_t>(wheel_now_), 0));
-  }
-  [[nodiscard]] const Bucket& current_bucket() const {
-    return bucket(0, byte_of(static_cast<std::uint64_t>(wheel_now_), 0));
-  }
-  void set_occ(int level, int idx) {
-    occ_[level][idx >> 6] |= 1ull << (idx & 63);
-  }
-  void clear_occ(int level, int idx) {
-    occ_[level][idx >> 6] &= ~(1ull << (idx & 63));
+  [[nodiscard]] bool occupied(std::uint32_t b) const {
+    return (occ_[b >> 6] >> (b & 63)) & 1;
   }
 
-  // Files an entry into the bucket its deadline selects relative to
+  // Slot of a pending event's id, or kNil if the id is dead.
+  [[nodiscard]] std::uint32_t pending_slot(EventId id) const;
+  // Links a node into the bucket its deadline selects relative to
   // wheel_now_ (past deadlines clamp into the current bucket).
-  void file(const Entry& e);
-  // Releases a slot back to the free list, invalidating outstanding ids and
-  // wheel entries that reference the old generation.
-  void release_slot(std::uint32_t slot);
-  // Compacts the current bucket: drops the popped prefix and stale entries,
-  // restores (when, seq) sorted order, resets the cursor.
-  void prepare_current();
-  // Moves the wheel to the next live deadline: retires the drained current
-  // bucket, purges buckets the move laps past (provably all-stale), and
-  // cascades the one coarse bucket covering the new position.
-  void advance();
-  // Earliest live deadline strictly ahead of the current bucket. Purges
-  // all-stale buckets it visits. Requires live_ > 0.
-  SimTime find_min_live();
-  // Drops a bucket whose entries are all stale (checked).
-  void purge_bucket(int level, int idx);
-  // Sweeps stale entries out of every bucket once they dominate.
-  void maybe_compact();
+  void file(std::uint32_t slot);
+  void unlink(std::uint32_t slot);
+  // Returns an unlinked slot to the free list, killing its id.
+  void release(std::uint32_t slot);
+  // Lowest-level occupied bucket strictly ahead of the wheel's byte at its
+  // level, or kNil. With the current bucket drained, it holds the minimum.
+  [[nodiscard]] std::uint32_t next_bucket() const;
+  // With the current bucket drained: moves the wheel to the start of
+  // next_bucket() and cascades it if coarse. Returns false, without moving,
+  // if that start lies beyond the cutoff.
+  bool advance(SimTime cutoff);
 
-  std::vector<Bucket> buckets_;  // kLevels * kBuckets, level-major
-  Bucket cascade_scratch_;       // reused by advance(); capacity circulates
-  std::uint64_t occ_[kLevels][kOccWords] = {};
-  SimTime wheel_now_ = 0;    // time of the bucket the pop cursor sits in
-  std::size_t cur_idx_ = 0;  // drain cursor into the current bucket
-  bool cur_sorted_ = true;   // current bucket sorted by (when, seq)?
+  std::array<Bucket, kLevels * kBuckets> buckets_;
+  std::array<std::uint64_t, kLevels * kBuckets / 64> occ_ = {};
+  SimTime wheel_now_ = 0;  // time of the current level-0 bucket
 
-  // The slot pool, split into parallel arrays so the stale check — the one
-  // read every entry visit makes — walks a dense 4-byte-stride array that
-  // stays cache-resident, instead of dragging the 32-byte callbacks through
-  // the cache with it. Index i across the three arrays is one slot: the
-  // generation (bumped on every release: fire/cancel/reschedule), the
-  // current deadline (for min-cache invalidation), and the callback.
-  std::vector<std::uint32_t> slot_gen_;
-  std::vector<SimTime> slot_when_;
-  std::vector<std::function<void()>> slot_fn_;
-  std::vector<std::uint32_t> free_;  // recyclable slot indices
+  std::vector<Node> nodes_;
+  std::vector<std::function<void()>> fns_;  // parallel to nodes_
+  std::uint32_t free_head_ = kNil;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;   // pending events
-  std::size_t stale_ = 0;  // dead entries still physically in buckets
-  std::size_t high_water_ = 0;
-
-  mutable SimTime min_when_ = 0;  // memoized next_time()
-  mutable bool min_valid_ = false;
+  std::size_t live_ = 0;
 };
 
 }  // namespace gs::sim

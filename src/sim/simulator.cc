@@ -20,12 +20,9 @@ EventId Simulator::reschedule_event(EventId id, SimTime when) {
 
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t n = 0;
-  while (!queue_.empty()) {
-    const SimTime next = queue_.next_time();
-    if (next > deadline) break;
-    auto [when, fn] = queue_.pop();
-    now_ = when;
-    fn();
+  while (auto ev = queue_.pop_due(deadline)) {
+    now_ = ev->first;
+    ev->second();
     ++executed_;
     ++n;
   }

@@ -29,10 +29,8 @@ std::size_t WallClock::run_due() {
   // Cutoff snapshotted up front: a callback that re-arms itself at now()+0
   // runs on the *next* driver pass, not forever within this one.
   const SimTime cutoff = now();
-  while (!queue_.empty() && queue_.next_time() <= cutoff) {
-    auto [when, fn] = queue_.pop();
-    (void)when;
-    fn();
+  while (auto ev = queue_.pop_due(cutoff)) {
+    ev->second();
     ++executed_;
     ++n;
   }

@@ -4,11 +4,12 @@
 // now() is microseconds of monotonic (steady_clock) time since construction,
 // so SimTime arithmetic and every Params duration carry over unchanged from
 // the simulator. Timers reuse the simulator's EventQueue — the same
-// (when, seq) total order, lazy cancellation, and slot recycling — but
-// nothing here advances time: an external driver (net::EventLoop) calls
-// next_deadline() to size its poll timeout and run_due() to fire expired
-// timers. WallClock is single-threaded by contract, exactly like Simulator:
-// all scheduling and dispatch happen on the loop thread.
+// (when, seq) total order, O(1) unlinking cancellation, and slot
+// recycling — but nothing here advances time: the event loop
+// (net::EventLoop) calls next_deadline() to size its poll timeout and
+// run_due() to fire expired timers. WallClock is single-threaded by
+// contract, exactly like Simulator: all scheduling and dispatch happen on
+// the loop thread.
 #pragma once
 
 #include <algorithm>
@@ -61,8 +62,9 @@ class WallClock final : public TimeSource {
  protected:
   bool cancel_event(EventId id) override { return queue_.cancel(id); }
   // Same past-deadline clamp as at(): a re-armed deadline the wall clock
-  // already passed fires on the next run_due() rather than tripping the
-  // wheel's ordering checks.
+  // already passed fires on the next run_due(). The clamp also keeps every
+  // deadline at or after the last run_due() cutoff, which is as far as
+  // the wheel ever moves, so the queue files it by appending.
   EventId reschedule_event(EventId id, SimTime when) override {
     return queue_.reschedule(id, std::max(when, now()));
   }

@@ -97,7 +97,7 @@ void HeapEventQueue::clear() {
   live_ = 0;
 }
 
-std::pair<SimTime, std::function<void()>> HeapEventQueue::pop() {
+HeapEventQueue::Event HeapEventQueue::pop() {
   GS_CHECK(!empty());
   skim_stale();
   GS_CHECK(!heap_.empty());

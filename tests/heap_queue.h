@@ -11,18 +11,19 @@
 // compiles it; it exists so the wheel's claim of byte-identical traces is
 // checkable forever, not just on the change that introduced it.
 //
-// Storage is bounded under cancel/re-arm churn by the same two mechanisms
-// the production queue inherited:
+// Cancellation here is lazy, unlike the wheel's (which unlinks the node):
 //  * callback slots are generation-tagged and recycled through a free list,
 //    so the slot pool peaks at the maximum number of *concurrently* pending
 //    events (the callback is released eagerly at cancel time);
-//  * when stale (cancelled/superseded) heap entries outnumber live ones the
-//    heap is compacted and rebuilt. Rebuilding cannot change pop order:
-//    (when, seq) is a total order, so any heap layout pops identically.
+//  * a cancelled or rescheduled event leaves a stale heap entry behind, and
+//    when stale entries outnumber live ones the heap is compacted and
+//    rebuilt. Rebuilding cannot change pop order: (when, seq) is a total
+//    order, so any heap layout pops identically.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,8 @@ using EventId = std::uint64_t;
 
 class HeapEventQueue {
  public:
+  using Event = std::pair<SimTime, std::function<void()>>;
+
   HeapEventQueue() = default;
 
   HeapEventQueue(const HeapEventQueue&) = delete;
@@ -65,8 +68,15 @@ class HeapEventQueue {
   // storage (logical constness — the pop order is unaffected).
   [[nodiscard]] SimTime next_time() const;
 
+  // Removes and returns the earliest pending event if its time is
+  // <= cutoff; nullopt if the queue is empty or nothing is due.
+  std::optional<Event> pop_due(SimTime cutoff) {
+    if (empty() || next_time() > cutoff) return std::nullopt;
+    return pop();
+  }
+
   // Removes and returns the earliest pending event. Requires !empty().
-  std::pair<SimTime, std::function<void()>> pop();
+  Event pop();
 
   // Drops every pending event without running it, releasing the callbacks
   // (and whatever their closures pin) immediately. Outstanding EventIds are

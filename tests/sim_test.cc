@@ -152,8 +152,8 @@ TEST(EventQueue, FdChurnKeepsSlotPoolBoundedAndMatchesReference) {
   // The failure detector's hot pattern: every heartbeat arrival cancels and
   // re-arms a suspicion timer. Under this churn the slot pool must stay at
   // the high-water mark of *concurrently* pending events (not grow per
-  // event ever pushed), the heap must stay within a constant factor of
-  // live, and pop order must match the naive reference event for event.
+  // event ever pushed), the wheel must hold no dead entries, and pop order
+  // must match the naive reference event for event.
   constexpr std::size_t kAdapters = 64;
   constexpr int kIterations = 50'000;
   util::Rng rng(0xC0FFEE);
@@ -209,11 +209,9 @@ TEST(EventQueue, FdChurnKeepsSlotPoolBoundedAndMatchesReference) {
   // Slot pool bounded by concurrent high-water (kAdapters plus slack for
   // the pop-before-rearm window), not by ~50k events ever pushed.
   EXPECT_LE(q.slot_count(), kAdapters + 8);
-  // Stale entries never dominate: the wheel tolerates stale up to ~4x live
-  // (cascades drop them for free, so the sweep only bounds memory) plus the
-  // compaction floor — entries stay a constant factor of live, not of the
-  // ~50k events ever pushed.
-  EXPECT_LE(q.heap_size(), 5 * q.size() + 160);
+  // Cancel unlinks: the wheel holds exactly the live events, not one entry
+  // per event ever pushed.
+  EXPECT_EQ(q.entry_count(), q.size());
 
   while (!q.empty()) {
     auto [when, fn] = q.pop();
@@ -227,8 +225,106 @@ TEST(EventQueue, FdChurnKeepsSlotPoolBoundedAndMatchesReference) {
   EXPECT_EQ(popped_real, popped_ref);
 }
 
+// The failure detector's re-arm at the farm's own deadline: every
+// heartbeat moves the sender's suspicion timer +1.25 s out (hb_period
+// 500 ms x hb_sensitivity 2 + 250 ms), with cancels, and timers that are
+// not re-armed in time fire. Re-arm and cancel unlink the event, so after
+// every operation the wheel's lists hold exactly the pending events, the
+// slot pool stays at the concurrent high water, and pops match the
+// reference heap's one for one.
+TEST(EventQueue, RearmChurnLeavesNoStaleEntries) {
+  constexpr std::size_t kTimers = 64;
+  constexpr int kOps = 50'000;
+  constexpr SimTime kSuspect = 1'250'000;
+  util::Rng rng(0xFD'DEAD11);
+  EventQueue wheel;
+  HeapEventQueue heap;
+  std::vector<std::size_t> popped_wheel, popped_heap;
+  struct Armed {
+    EventId wheel = 0;
+    EventId heap = 0;
+  };
+  std::vector<Armed> timers(kTimers);
+  std::size_t next_label = 0;
+  SimTime now = 0;
+
+  auto check = [&] {
+    ASSERT_EQ(wheel.size(), heap.size());
+    ASSERT_EQ(wheel.entry_count(), wheel.size());
+    ASSERT_LE(wheel.slot_count(), kTimers + 8);
+  };
+  auto rearm = [&](std::size_t t) {
+    const SimTime when = now + kSuspect;
+    Armed& a = timers[t];
+    a.wheel = wheel.reschedule(a.wheel, when);
+    a.heap = heap.reschedule(a.heap, when);
+    ASSERT_EQ(a.wheel == 0, a.heap == 0);
+    if (a.wheel != 0) return;
+    const std::size_t label = next_label++;
+    a.wheel = wheel.push(
+        when, [&popped_wheel, label] { popped_wheel.push_back(label); });
+    a.heap = heap.push(
+        when, [&popped_heap, label] { popped_heap.push_back(label); });
+  };
+
+  for (std::size_t t = 0; t < kTimers; ++t) rearm(t);
+  for (int i = 0; i < kOps; ++i) {
+    // ~20 ms per step: a timer is re-armed about every 1.4 s on average,
+    // so a good share of deadlines expire before their next heartbeat.
+    now += static_cast<SimTime>(rng.below(40'000));
+    while (!heap.empty() && heap.next_time() <= now) {
+      ASSERT_EQ(wheel.next_time(), heap.next_time());
+      auto [wheel_when, wheel_fn] = wheel.pop();
+      auto [heap_when, heap_fn] = heap.pop();
+      ASSERT_EQ(wheel_when, heap_when);
+      wheel_fn();
+      heap_fn();
+      ASSERT_EQ(popped_wheel.back(), popped_heap.back());
+      check();
+    }
+    ASSERT_FALSE(!wheel.empty() && wheel.next_time() <= now);
+    const std::size_t t = rng.below(kTimers);
+    if (rng.chance(0.1)) {
+      ASSERT_EQ(wheel.cancel(timers[t].wheel), heap.cancel(timers[t].heap));
+    } else {
+      rearm(t);
+    }
+    check();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(popped_wheel, popped_heap);
+  EXPECT_GT(popped_wheel.size(), 1000u);  // deadlines really did expire
+}
+
+// pop_due is the run loops' peek and pop in one call: it hands out only
+// events due by the cutoff and leaves later ones, and anything pushed
+// afterwards at or past the cutoff still pops in (when, seq) order.
+TEST(EventQueue, PopDueStopsAtCutoff) {
+  EventQueue q;
+  std::vector<int> order;
+  q.push(10, [&] { order.push_back(10); });
+  q.push(20, [&] { order.push_back(20); });
+  q.push(300'000, [&] { order.push_back(300'000); });
+  auto ev = q.pop_due(15);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->first, 10);
+  ev->second();
+  EXPECT_FALSE(q.pop_due(15).has_value());
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), 20);
+  q.push(15, [&] { order.push_back(15); });
+  q.push(20, [&] { order.push_back(21); });  // same time, later seq
+  while (auto due = q.pop_due(299'999)) due->second();
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.pop_due(0).has_value());
+  q.pop_due(std::numeric_limits<SimTime>::max())->second();
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.pop_due(std::numeric_limits<SimTime>::max()).has_value());
+  EXPECT_EQ(order, (std::vector<int>{10, 15, 20, 21, 300'000}));
+}
+
 // Drives the timing wheel and the reference heap with one randomized stream
-// of push / cancel / reschedule / pop / clear operations and demands
+// of push / cancel / reschedule / pop / pop_due / clear operations and demands
 // pop-for-pop equality — the order contract the golden traces rest on.
 // Deadlines deliberately mix the heartbeat range with cascade-hostile
 // values: exact level-rollover boundaries, their neighbours, far-future
@@ -306,9 +402,23 @@ TEST(EventQueue, WheelMatchesHeapUnderRandomizedChurn) {
       } else {
         live[k] = LivePair{w, h};
       }
-    } else if (op < 99) {
+    } else if (op < 90) {
       ASSERT_EQ(wheel.empty(), heap.empty());
       if (!wheel.empty()) pop_both();
+    } else if (op < 99) {
+      // The run loops' call: pop only what is due by a cutoff that may fall
+      // short of, on, or past the next deadline (and its bucket's start).
+      const SimTime cutoff = now + static_cast<SimTime>(rng.below(70'000));
+      auto w = wheel.pop_due(cutoff);
+      auto h = heap.pop_due(cutoff);
+      ASSERT_EQ(w.has_value(), h.has_value());
+      if (w) {
+        ASSERT_EQ(w->first, h->first);
+        w->second();
+        h->second();
+        ASSERT_EQ(popped_wheel.back(), popped_heap.back());
+        now = std::max(now, w->first);
+      }
     } else {
       wheel.clear();
       heap.clear();
