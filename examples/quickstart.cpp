@@ -54,7 +54,6 @@ gs::proto::Params real_params() {
   p.start_skew_max = gs::sim::milliseconds(200);
   p.beacon_setup_min = gs::sim::milliseconds(100);
   p.beacon_setup_max = gs::sim::milliseconds(200);
-  p.proc_delay_mean = 0;  // the host provides real scheduling delay
   return p;
 }
 

@@ -30,6 +30,7 @@ Farm::Farm(sim::Simulator& sim, const FarmSpec& spec,
   params_.trace = &trace_bus_;
   fabric_ = std::make_unique<net::Fabric>(sim_, rng_.fork(0xFAB));
   fabric_->set_trace(&trace_bus_);
+  fabric_->set_processing_delay(params_.proc_delay_mean);
   console_ = std::make_unique<net::SwitchConsole>(*fabric_);
   current_switch_ = fabric_->add_switch(
       static_cast<std::size_t>(spec_.switch_ports));

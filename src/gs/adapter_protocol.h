@@ -103,7 +103,7 @@ static_assert(sizeof(AdapterProtocolHot) <= 64);
 class AdapterProtocol : private AdapterProtocolHot {
  public:
   // How the protocol touches the outside world; the daemon wires these to
-  // the fabric (and injects its processing-delay model upstream).
+  // its transport (the simulated fabric or real UDP).
   struct NetIface {
     std::function<bool(util::IpAddress, net::Payload)> unicast;
     std::function<bool(net::Payload)> beacon_multicast;

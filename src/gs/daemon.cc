@@ -39,11 +39,12 @@ WireStats::Drop drop_reason(wire::FrameError error) {
 }  // namespace
 
 GsDaemon::GsDaemon(Options opts)
-    : GsDaemonHot(*opts.clock, *opts.params, opts.rng, *opts.transport),
+    : GsDaemonHot(*opts.clock, *opts.params, *opts.transport),
       config_(std::move(opts.node)),
       central_(opts.central),
       root_central_(opts.root_central),
-      uplink_index_(opts.uplink_adapter_index) {
+      uplink_index_(opts.uplink_adapter_index),
+      rng_(opts.rng) {
   GS_CHECK_MSG(opts.clock != nullptr && opts.transport != nullptr &&
                    opts.params != nullptr,
                "GsDaemon::Options requires clock, transport, and params");
@@ -102,7 +103,6 @@ GsDaemon::GsDaemon(Options opts)
 
 GsDaemon::~GsDaemon() {
   start_timer_.cancel();
-  for (PendingDispatch& pending : dispatch_pool_) pending.timer.cancel();
   report_retry_timer_.cancel();
   report_refresh_timer_.cancel();
   if (started_) {
@@ -138,7 +138,7 @@ void GsDaemon::start() {
 void GsDaemon::on_started() {
   for (std::size_t i = 0; i < protocols_.size(); ++i) {
     transport_.set_receive_handler(
-        i, [this, i](const net::Datagram& dgram) { on_datagram(i, dgram); });
+        i, [this, i](const net::Datagram& dgram) { dispatch(i, dgram); });
     if (!halted_) protocols_[i]->start();
   }
   if (!halted_) arm_report_refresh();
@@ -168,41 +168,9 @@ void GsDaemon::resume() {
   arm_report_refresh();
 }
 
-void GsDaemon::on_datagram(std::size_t index, const net::Datagram& dgram) {
-  if (halted_) return;
-  // Model of per-message handling latency (thread scheduling, §4.1).
-  sim::SimDuration delay = 0;
-  if (params_.proc_delay_mean > 0) {
-    delay = static_cast<sim::SimDuration>(
-        rng_.exponential(static_cast<double>(params_.proc_delay_mean)));
-  }
-  std::uint32_t slot = dispatch_free_head_;
-  if (slot == kNoSlot) {
-    slot = static_cast<std::uint32_t>(dispatch_pool_.size());
-    dispatch_pool_.emplace_back();
-  } else {
-    dispatch_free_head_ = dispatch_pool_[slot].next_free;
-    --dispatch_free_count_;
-  }
-  PendingDispatch& pending = dispatch_pool_[slot];
-  pending.dgram = dgram;
-  pending.index = static_cast<std::uint32_t>(index);
-  pending.timer = sim_.after(delay, [this, slot] { fire_dispatch(slot); });
-}
-
-void GsDaemon::fire_dispatch(std::uint32_t slot) {
-  // Take the datagram and free the slot first: the handlers below may
-  // receive again and grow (reallocate) the pool.
-  PendingDispatch& pending = dispatch_pool_[slot];
-  const std::size_t index = pending.index;
-  const net::Datagram dgram = std::move(pending.dgram);
-  pending.next_free = dispatch_free_head_;
-  dispatch_free_head_ = slot;
-  ++dispatch_free_count_;
-  dispatch(index, dgram);
-}
-
 void GsDaemon::dispatch(std::size_t index, const net::Datagram& dgram) {
+  // The transport calls this once the host has had its processing delay
+  // (the fabric adds δ to each delivery; a real host supplies it).
   if (halted_) return;
   // Envelope verification is cached on the shared payload: the first
   // receiver of a multicast pays the CRC, the rest read the stored verdict.
@@ -269,7 +237,7 @@ void GsDaemon::handle_report_frame(util::IpAddress src,
   central_->handle_report(src, rep, [this, src](const ReportAck& ack) {
     if (src == admin_ip()) {
       // The reporting leader lives on this very node: loop back.
-      deliver_ack_locally(ack);
+      handle_report_ack(ack);
       return;
     }
     transport_.unicast(config_.admin_adapter_index, src,
@@ -312,10 +280,6 @@ void GsDaemon::send_domain_report(const DomainReport& rep) {
   }
   transport_.unicast(*uplink_index_, root,
                      net::Payload::copy_of(build_frame(scratch_, rep)));
-}
-
-void GsDaemon::deliver_ack_locally(const ReportAck& ack) {
-  handle_report_ack(ack);
 }
 
 void GsDaemon::handle_report_ack(const ReportAck& ack) {
@@ -366,7 +330,7 @@ void GsDaemon::try_send_report(std::size_t index) {
     if (central_ != nullptr && central_->active()) {
       central_->handle_report(
           gsc, outstanding_[index]->report,
-          [this](const ReportAck& ack) { deliver_ack_locally(ack); });
+          [this](const ReportAck& ack) { handle_report_ack(ack); });
     }
     return;
   }

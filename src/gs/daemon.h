@@ -3,8 +3,9 @@
 // server farm as a user level daemon").
 //
 // Besides hosting the protocols, the daemon implements the node-level glue:
-//  * the start-up skew and per-message processing-delay model (the δ of
-//    Equation 1),
+//  * the start-up skew, one part of the δ of Equation 1 (the other part,
+//    the per-message processing delay, belongs to the host: the simulated
+//    fabric adds it to each delivery, and a real host supplies its own),
 //  * frame reception: CRC/envelope validation, then routing — membership
 //    reports to the locally hosted Central, report acks to the hosted
 //    leader they belong to, everything else to the adapter's protocol,
@@ -81,46 +82,26 @@ struct WireStats {
 
 [[nodiscard]] std::string_view to_string(WireStats::Drop reason);
 
-// What every frame the daemon handles reads. A received one, from
-// on_datagram() through dispatch(): the halted check, the processing-delay
-// draw with its clock and mean, the dispatch pool with its free list, and
-// the protocol table. A sent one: the transport. GsDaemon inherits it
-// first, so it opens the object: the draw and the free list in the first
-// 64 bytes, the two tables and the transport right after. Not
-// over-aligned, like AdapterProtocolHot and for the same reason.
+// What every frame the daemon handles reads. A received one, in
+// dispatch(): the halted check, the protocol table, and the clock and
+// params the handlers' trace records read. A sent one: the transport.
+// GsDaemon inherits it first, so it opens the object, all of it in the
+// first 64 bytes. Not over-aligned, like AdapterProtocolHot and for the
+// same reason.
 struct GsDaemonHot {
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-  // Every callback the daemon schedules is a Timer it owns and cancels on
-  // destruction. Each datagram waiting out its processing delay sits in a
-  // recycled pool slot with its own, and the scheduled callback captures
-  // only {this, slot}, which fits std::function's inline buffer: no
-  // allocation per delivery. A free slot links to the next free one, so
-  // the free list lives in the pool itself (LIFO, head below).
-  struct PendingDispatch {
-    net::Datagram dgram;
-    sim::Timer timer;
-    std::uint32_t index = 0;            // receiving port
-    std::uint32_t next_free = kNoSlot;  // while free
-  };
-
-  GsDaemonHot(sim::TimeSource& sim, const Params& params, util::Rng rng,
+  GsDaemonHot(sim::TimeSource& sim, const Params& params,
               net::Transport& transport)
-      : rng_(rng), sim_(sim), params_(params), transport_(transport) {}
+      : sim_(sim), params_(params), transport_(transport) {}
 
-  util::Rng rng_;
   sim::TimeSource& sim_;
   const Params& params_;
-  std::uint32_t dispatch_free_head_ = kNoSlot;
-  std::uint32_t dispatch_free_count_ = 0;
   bool halted_ = false;
-  std::vector<PendingDispatch> dispatch_pool_;
   std::vector<std::unique_ptr<AdapterProtocol>> protocols_;
   net::Transport& transport_;
 };
-// Two lines' worth: a later member must not push the tables or the
+// One line's worth: a later member must not push the table or the
 // transport out.
-static_assert(sizeof(GsDaemonHot) <= 128);
+static_assert(sizeof(GsDaemonHot) <= 64);
 
 class GsDaemon : private GsDaemonHot {
  public:
@@ -161,10 +142,10 @@ class GsDaemon : private GsDaemonHot {
   GsDaemon(const GsDaemon&) = delete;
   GsDaemon& operator=(const GsDaemon&) = delete;
 
-  // Cancels every daemon-held timer — the start skew, each pending
-  // processing-delay dispatch, the report timers — and unhooks the
-  // transport's receive handlers, so a daemon destroyed with timers in
-  // flight never fires into freed memory or a dead transport.
+  // Cancels every daemon-held timer — the start skew and the report
+  // timers — and unhooks the transport's receive handlers, so a daemon
+  // destroyed with timers or frames in flight never runs into freed
+  // memory or a dead transport.
   ~GsDaemon();
 
   // Begins operation after the modelled start-up skew.
@@ -209,16 +190,6 @@ class GsDaemon : private GsDaemonHot {
   [[nodiscard]] std::uint64_t reports_sent() const { return reports_sent_; }
   [[nodiscard]] const WireStats& wire_stats() const { return wire_stats_; }
 
-  // Processing-delay pool occupancy: datagrams waiting out their delay now,
-  // and the slots allocated. The pool grows only when every slot is busy,
-  // so its size is the in-flight high-water mark.
-  [[nodiscard]] std::size_t dispatches_in_flight() const {
-    return dispatch_pool_.size() - dispatch_free_count_;
-  }
-  [[nodiscard]] std::size_t dispatch_slots() const {
-    return dispatch_pool_.size();
-  }
-
  private:
   struct OutstandingReport {
     std::uint64_t seq = 0;
@@ -227,12 +198,9 @@ class GsDaemon : private GsDaemonHot {
   };
 
   void on_started();
-  void on_datagram(std::size_t index, const net::Datagram& dgram);
-  void fire_dispatch(std::uint32_t slot);
   void dispatch(std::size_t index, const net::Datagram& dgram);
   void handle_report_frame(util::IpAddress src, const MembershipReport& rep);
   void handle_report_ack(const ReportAck& ack);
-  void deliver_ack_locally(const ReportAck& ack);
   void report_pending(std::size_t index);
   void try_send_report(std::size_t index);
   void arm_report_retry();
@@ -253,7 +221,9 @@ class GsDaemon : private GsDaemonHot {
   DomainUplink* uplink_ = nullptr;
   std::optional<std::size_t> uplink_index_;
 
-  // The start skew's timer; cancelled on destruction like the pool's.
+  // Draws the start skew and seeds each hosted protocol's stream.
+  util::Rng rng_;
+  // The start skew's timer; cancelled on destruction.
   sim::Timer start_timer_;
 
   util::IpAddress last_gsc_;

@@ -103,6 +103,9 @@ struct Params {
   sim::SimDuration beacon_setup_min = sim::seconds(1);
   sim::SimDuration beacon_setup_max = sim::seconds(2);
   // Per-message handling delay (exponential mean); models thread scheduling.
+  // The simulated fabric reads it (farm::Farm passes it to
+  // net::Fabric::set_processing_delay) and adds one draw to each delivery;
+  // RealFarm ignores it, as the host supplies the real delay.
   sim::SimDuration proc_delay_mean = sim::milliseconds(2);
 
   // --- Telemetry ------------------------------------------------------------

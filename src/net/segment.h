@@ -4,7 +4,8 @@
 // send time); it owns the *channel model* for one VLAN: base latency plus
 // uniform jitter, i.i.d. Bernoulli loss per receiver, and an optional
 // partition that splits the domain into non-communicating halves — the
-// situation whose repair is the AMG merge protocol (§2.1).
+// situation whose repair is the AMG merge protocol (§2.1). The same stream
+// draws each receiver's processing delay δ (Fabric::set_processing_delay).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +46,14 @@ class Segment {
     if (model_.jitter > 0)
       latency += rng_.range(0, model_.jitter);
     return latency;
+  }
+
+  // Samples one receiver's processing delay δ: exponential with `mean`.
+  // A mean of 0 returns 0 without a draw.
+  [[nodiscard]] sim::SimDuration sample_processing(sim::SimDuration mean) {
+    if (mean <= 0) return 0;
+    return static_cast<sim::SimDuration>(
+        rng_.exponential(static_cast<double>(mean)));
   }
 
   // Samples per-receiver corruption for a delivered frame. Only called when

@@ -4,7 +4,11 @@
 // final Prometheus exposition are fixed byte for byte. Both are hashed and
 // pinned here: a refactor or optimisation that claims to leave protocol
 // behaviour unchanged must leave these constants unchanged too. A change
-// that alters behaviour on purpose re-records them and says why.
+// that alters behaviour on purpose re-records them and says why. Last
+// re-recorded when the processing delay δ moved from the daemon into the
+// fabric: each draw now comes from the VLAN segment's stream in send
+// order, not from the daemon's stream in arrival order (EXPERIMENTS.md,
+// E21).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,10 +78,10 @@ TEST(GoldenDigest, OceanoDiscoveryFailureRecovery) {
   const std::string prometheus = obs::expo::to_prometheus(farm.metrics());
   const std::uint64_t prometheus_digest = fnv1a(kFnvBasis, prometheus);
 
-  EXPECT_EQ(records, 1841u);
-  EXPECT_EQ(hex(trace_digest), "0x23a594be2318de01")
+  EXPECT_EQ(records, 1846u);
+  EXPECT_EQ(hex(trace_digest), "0xa3c24bc8a071e887")
       << "JSONL trace stream changed";
-  EXPECT_EQ(hex(prometheus_digest), "0xb5621968866c6d1e")
+  EXPECT_EQ(hex(prometheus_digest), "0x48eeba48986dd805")
       << "Prometheus exposition changed";
 }
 
@@ -134,10 +138,10 @@ TEST(GoldenDigest, LargeAdminAmgFailureRecoveryBurst) {
   const std::string prometheus = obs::expo::to_prometheus(farm.metrics());
   const std::uint64_t prometheus_digest = fnv1a(kFnvBasis, prometheus);
 
-  EXPECT_EQ(records, 55390u);
-  EXPECT_EQ(hex(trace_digest), "0x19858c106106124c")
+  EXPECT_EQ(records, 55419u);
+  EXPECT_EQ(hex(trace_digest), "0x73a5811bc8e427d9")
       << "JSONL trace stream changed";
-  EXPECT_EQ(hex(prometheus_digest), "0xb5374c101aaf64bf")
+  EXPECT_EQ(hex(prometheus_digest), "0x0855d166f76c89ac")
       << "Prometheus exposition changed";
 }
 
@@ -192,10 +196,10 @@ TEST(GoldenDigest, HierarchicalSwitchMoveAndPartitionScript) {
   const std::string prometheus = obs::expo::to_prometheus(farm.metrics());
   const std::uint64_t prometheus_digest = fnv1a(kFnvBasis, prometheus);
 
-  EXPECT_EQ(records, 1975u);
-  EXPECT_EQ(hex(trace_digest), "0x745dd35aa78c6299")
+  EXPECT_EQ(records, 1976u);
+  EXPECT_EQ(hex(trace_digest), "0x1ba3e2daf41041b5")
       << "JSONL trace stream changed";
-  EXPECT_EQ(hex(prometheus_digest), "0xd3f8a8cacbe1218f")
+  EXPECT_EQ(hex(prometheus_digest), "0x59d4dba52b732662")
       << "Prometheus exposition changed";
 }
 

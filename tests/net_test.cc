@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <thread>
@@ -142,6 +143,107 @@ TEST_F(FabricTest, MidFlightFailureDropsFrame) {
   // Kill the receiver while the frame is in flight.
   fabric_.set_adapter_health(b, HealthState::kDown);
   sim_.run();
+}
+
+// The receiving host's processing delay δ rides on the delivery: with zero
+// jitter, (delivery - send - latency) is δ alone, an exponential draw with
+// the configured mean. With a mean of 0 the frame lands exactly at the
+// latency.
+TEST_F(FabricTest, DeliveryRunsAtArrivalPlusProcessingDelay) {
+  auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
+  auto b = make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));
+  const sim::SimDuration latency = sim::microseconds(100);
+  sim::SimTime delivered_at = 0;
+  fabric_.adapter(b).set_receive_handler(
+      [&](const Datagram&) { delivered_at = sim_.now(); });
+  const auto delta = [&] {
+    const sim::SimTime sent_at = sim_.now();
+    EXPECT_TRUE(fabric_.send(a, util::IpAddress(10, 0, 0, 2), test_frame()));
+    sim_.run();
+    return delivered_at - sent_at - latency;
+  };
+
+  const sim::SimDuration mean = sim::milliseconds(2);
+  fabric_.set_processing_delay(mean);
+  constexpr int kFrames = 20000;
+  double sum = 0;
+  int above_mean = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    const sim::SimDuration d = delta();
+    ASSERT_GE(d, 0);
+    sum += static_cast<double>(d);
+    if (d > mean) ++above_mean;
+  }
+  EXPECT_NEAR(sum / kFrames, static_cast<double>(mean),
+              0.03 * static_cast<double>(mean));
+  EXPECT_NEAR(static_cast<double>(above_mean) / kFrames, std::exp(-1.0), 0.02);
+  EXPECT_EQ(fabric_.load(util::VlanId(1)).frames_delivered,
+            static_cast<std::uint64_t>(kFrames));
+
+  fabric_.set_processing_delay(0);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(delta(), 0);
+}
+
+// A receiver that dies after the frame arrives but before its host handles
+// it (within δ) never sees the frame: delivery is checked at arrival + δ.
+TEST_F(FabricTest, ReceiverDyingWithinProcessingDelayMissesTheFrame) {
+  auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
+  auto b = make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));
+  fabric_.set_processing_delay(sim::seconds(1));
+  fabric_.adapter(b).set_receive_handler([&](const Datagram&) { FAIL(); });
+  fabric_.send(a, util::IpAddress(10, 0, 0, 2), test_frame());
+  // Past the 100 us latency, but a 1 s mean leaves δ far from spent.
+  sim_.run_until(sim::microseconds(101));
+  ASSERT_EQ(sim_.pending_events(), 1u);
+  fabric_.set_adapter_health(b, HealthState::kDown);
+  sim_.run();
+  EXPECT_EQ(fabric_.load(util::VlanId(1)).frames_unreachable, 1u);
+  EXPECT_EQ(fabric_.load(util::VlanId(1)).frames_delivered, 0u);
+}
+
+// Each reachable receiver of a multicast is one sim event, which delivers
+// and hands the frame to the receiver in one step. Receivers sharing a
+// deadline run in member order.
+TEST_F(FabricTest, MulticastIsOneEventPerReceiver) {
+  auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
+  constexpr std::uint32_t kReceivers = 8;
+  std::vector<util::AdapterId> members;
+  for (std::uint32_t i = 1; i <= kReceivers; ++i)
+    members.push_back(fabric_.add_adapter(util::NodeId(i)));
+  // Wired in reverse and addressed with falling IPs: member order is still
+  // adapter id order.
+  std::vector<util::AdapterId> heard;
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    const util::AdapterId id = *it;
+    fabric_.attach(id, sw_, util::VlanId(1));
+    fabric_.set_adapter_ip(
+        id, util::IpAddress(10, 0, 0,
+                            static_cast<std::uint8_t>(100 - id.value())));
+    fabric_.adapter(id).set_receive_handler(
+        [&heard, id](const Datagram&) { heard.push_back(id); });
+  }
+  // An unreachable member costs no event.
+  fabric_.set_adapter_health(members.back(), HealthState::kDown);
+  const std::size_t reachable = kReceivers - 1;
+
+  fabric_.set_processing_delay(sim::milliseconds(2));
+  ASSERT_TRUE(fabric_.multicast(a, kBeaconGroup, test_frame()));
+  EXPECT_EQ(sim_.pending_events(), reachable);
+  std::size_t steps = 0;
+  while (sim_.step()) {
+    ++steps;
+    EXPECT_EQ(heard.size(), steps);  // every step hands one frame over
+  }
+  EXPECT_EQ(steps, reachable);
+
+  heard.clear();
+  fabric_.set_processing_delay(0);
+  ASSERT_TRUE(fabric_.multicast(a, kBeaconGroup, test_frame()));
+  EXPECT_EQ(sim_.pending_events(), reachable);
+  sim_.run();
+  const std::vector<util::AdapterId> in_member_order(members.begin(),
+                                                     members.end() - 1);
+  EXPECT_EQ(heard, in_member_order);
 }
 
 TEST_F(FabricTest, SwitchFailureDisconnectsVlan) {

@@ -176,9 +176,9 @@ net::UdpTransport::PortSpec loop_port(std::uint8_t host) {
 }
 
 TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
-  // Boot two real daemons far enough to have beacon/heartbeat timers and
-  // processing-delay dispatches in flight, then destroy one daemon while
-  // the clock still holds its callbacks. Draining the clock afterwards must
+  // Boot two real daemons far enough to have beacon/heartbeat timers in
+  // flight, then destroy one daemon while the clock still holds its
+  // callbacks. Draining the clock afterwards must
   // not touch the dead daemon or its closed transport (ASan would flag any
   // use-after-free).
   proto::Params params;
@@ -187,7 +187,6 @@ TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
   params.beacon_interval = sim::milliseconds(10);
   params.beacon_setup_min = params.beacon_setup_max = sim::milliseconds(10);
   params.hb_period = sim::milliseconds(10);
-  params.proc_delay_mean = sim::milliseconds(5);
 
   sim::WallClock clock;
   net::EventLoop loop;
@@ -214,7 +213,7 @@ TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
   daemon_b->start();
 
   // Let beacons fly so both daemons have exchanged frames and hold armed
-  // timers plus pending proc-delay dispatches.
+  // timers.
   loop.run_until(clock, clock.now() + sim::milliseconds(120), nullptr);
   EXPECT_GT(transport_a->stats().frames_sent, 0u);
 
@@ -223,9 +222,9 @@ TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
   transport_a.reset();
 
   // Drive the loop well past every deadline daemon A ever armed: its
-  // destructor cancelled every Timer it held, the start skew and pending
-  // processing-delay dispatches included. Daemon B keeps running against a peer
-  // that went silent — exactly the kill path.
+  // destructor cancelled every Timer it held, the start skew included.
+  // Daemon B keeps running against a peer that went silent — exactly the
+  // kill path.
   loop.run_until(clock, clock.now() + sim::milliseconds(200), nullptr);
   EXPECT_FALSE(daemon_b->halted());
   daemon_b.reset();
@@ -247,7 +246,6 @@ TEST(ShutdownOrderingTest, RealFarmKillThenTeardownIsClean) {
   opts.params.hb_period = sim::milliseconds(20);
   opts.params.amg_stable_wait = sim::milliseconds(50);
   opts.params.gsc_stable_wait = sim::milliseconds(100);
-  opts.params.proc_delay_mean = 0;
   farm::RealFarm farm(std::move(opts));
   for (int n = 0; n < 3; ++n) {
     farm::RealFarm::NodeSpec spec;

@@ -188,7 +188,6 @@ TEST(UdpTransportTest, CorruptFrameIsDroppedAndAccountedByTheDaemon) {
 
   proto::Params params;
   params.start_skew_max = 0;
-  params.proc_delay_mean = 0;
   params.beacon_phase = sim::seconds(60);  // keep the protocol quiet
   params.beacon_interval = sim::seconds(60);
   params.beacon_setup_min = params.beacon_setup_max = 0;
