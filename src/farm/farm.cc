@@ -467,11 +467,6 @@ proto::Central* Farm::active_domain_central(std::uint32_t domain) {
   return best;
 }
 
-proto::DomainUplink* Farm::uplink_of(std::size_t node_index) {
-  GS_CHECK(node_index < uplinks_.size());
-  return uplinks_[node_index].get();
-}
-
 std::optional<std::size_t> Farm::expected_root_node() const {
   std::optional<std::size_t> best;
   util::IpAddress best_ip;

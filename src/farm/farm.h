@@ -79,8 +79,6 @@ class Farm {
   // The active per-domain Central with the highest healthy admin IP in
   // `domain`, if any.
   [[nodiscard]] proto::Central* active_domain_central(std::uint32_t domain);
-  // This node's DomainUplink (domain-management nodes only), else null.
-  [[nodiscard]] proto::DomainUplink* uplink_of(std::size_t node_index);
   // Ground truth: the root-management node that *should* host the root
   // (highest healthy root-VLAN admin adapter among the root tier).
   [[nodiscard]] std::optional<std::size_t> expected_root_node() const;
@@ -107,8 +105,7 @@ class Farm {
   obs::SpanTracker& enable_span_tracking();
   // Starts (once) periodic health sampling into the trace bus + metrics().
   obs::FarmHealthSampler& enable_health_sampling(sim::SimDuration period);
-  // Null until the corresponding enable_* ran.
-  [[nodiscard]] obs::SpanTracker* span_tracker() { return spans_.get(); }
+  // Null until enable_health_sampling ran.
   [[nodiscard]] obs::FarmHealthSampler* health_sampler() {
     return health_.get();
   }

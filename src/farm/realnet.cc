@@ -30,10 +30,7 @@ std::size_t RealFarm::add_node(NodeSpec spec) {
   GS_CHECK(!spec.ports.empty());
 
   Node node;
-  auto udp =
-      std::make_unique<net::UdpTransport>(loop_, map_, spec.ports);
-  node.udp = udp.get();
-  node.transport = std::move(udp);
+  node.transport = std::make_unique<net::UdpTransport>(loop_, map_, spec.ports);
 
   proto::GsDaemon::Options dopts;
   dopts.clock = &clock_;
@@ -48,32 +45,6 @@ std::size_t RealFarm::add_node(NodeSpec spec) {
     // No configuration database or switch console on a real deployment yet:
     // this Central aggregates reports and commits failures, which is all
     // the detection path needs.
-    node.central = std::make_unique<proto::Central>(clock_, params_,
-                                                    /*db=*/nullptr,
-                                                    /*console=*/nullptr);
-    dopts.central = node.central.get();
-  }
-  daemons_.push_back(std::make_unique<proto::GsDaemon>(std::move(dopts)));
-  nodes_.push_back(std::move(node));
-  return daemons_.size() - 1;
-}
-
-std::size_t RealFarm::adopt_node(std::unique_ptr<net::Transport> transport,
-                                 proto::GsDaemon::NodeConfig config) {
-  GS_CHECK_MSG(!started_, "adopt nodes before start()");
-  GS_CHECK(transport != nullptr && transport->port_count() > 0);
-
-  Node node;
-  node.transport = std::move(transport);
-  node.udp = dynamic_cast<net::UdpTransport*>(node.transport.get());
-
-  proto::GsDaemon::Options dopts;
-  dopts.clock = &clock_;
-  dopts.transport = node.transport.get();
-  dopts.params = &params_;
-  dopts.node = std::move(config);
-  dopts.rng = rng_.fork(0xAD00000U + daemons_.size());
-  if (dopts.node.central_eligible) {
     node.central = std::make_unique<proto::Central>(clock_, params_,
                                                     /*db=*/nullptr,
                                                     /*console=*/nullptr);
@@ -115,7 +86,7 @@ void RealFarm::kill_node(std::size_t index) {
                     daemon.config().node);
   }
   daemon.halt();
-  if (node.udp != nullptr) node.udp->close();
+  node.transport->close();
   GS_LOG(kInfo, "realfarm") << daemon.config().name << " killed";
 }
 
@@ -131,7 +102,7 @@ proto::GsDaemon& RealFarm::daemon(std::size_t index) {
 
 net::UdpTransport* RealFarm::udp_transport(std::size_t index) {
   GS_CHECK(index < nodes_.size());
-  return nodes_[index].udp;
+  return nodes_[index].transport.get();
 }
 
 proto::Central* RealFarm::active_central() {
@@ -148,11 +119,10 @@ bool RealFarm::converged() const {
 
   for (std::size_t n = 0; n < daemons_.size(); ++n) {
     if (nodes_[n].killed) continue;
-    const net::UdpTransport* udp = nodes_[n].udp;
-    if (udp == nullptr) continue;  // adopted node with unknown topology
+    const net::UdpTransport& udp = *nodes_[n].transport;
     const proto::GsDaemon& daemon = *daemons_[n];
     for (std::size_t i = 0; i < daemon.adapter_count(); ++i)
-      by_vlan[udp->vlan_of(i).value()].live.push_back(&daemon.protocol(i));
+      by_vlan[udp.vlan_of(i).value()].live.push_back(&daemon.protocol(i));
   }
 
   for (const auto& [vlan, state] : by_vlan) {

@@ -12,10 +12,6 @@
 // its sockets (peers see silence, exactly like a crashed process), and
 // emits the synthetic kFaultInjected trace records the latency observatory
 // anchors detection spans on (in the sim the fabric emits these).
-//
-// Mixed mode: adopt_node() accepts a node over *any* externally built
-// Transport — the hook for hybrid deployments where a few real daemons join
-// a farm whose other members live behind a different backend.
 #pragma once
 
 #include <functional>
@@ -58,12 +54,6 @@ class RealFarm {
   // conflict fails fast, before start()). Returns the node index.
   std::size_t add_node(NodeSpec spec);
 
-  // Mixed-mode hook: adopts a daemon over an externally built transport
-  // (any Transport backend). The transport is owned from here on; `central`
-  // may be null. Returns the node index.
-  std::size_t adopt_node(std::unique_ptr<net::Transport> transport,
-                         proto::GsDaemon::NodeConfig config);
-
   // Starts every daemon (each applies its start-up skew on the wall clock).
   void start();
 
@@ -86,20 +76,17 @@ class RealFarm {
   [[nodiscard]] std::size_t node_count() const { return daemons_.size(); }
   [[nodiscard]] proto::GsDaemon& daemon(std::size_t index);
   [[nodiscard]] bool killed(std::size_t index) const;
-  // Null for adopted nodes whose transport is not a UdpTransport.
   [[nodiscard]] net::UdpTransport* udp_transport(std::size_t index);
   [[nodiscard]] proto::Central* active_central();
 
   [[nodiscard]] sim::WallClock& clock() { return clock_; }
   [[nodiscard]] net::EventLoop& loop() { return loop_; }
-  [[nodiscard]] net::UdpPortMap& port_map() { return map_; }
   [[nodiscard]] obs::TraceBus& trace_bus() { return trace_bus_; }
   [[nodiscard]] const proto::Params& params() const { return params_; }
 
  private:
   struct Node {
-    std::unique_ptr<net::Transport> transport;
-    net::UdpTransport* udp = nullptr;  // transport, when it is UDP-backed
+    std::unique_ptr<net::UdpTransport> transport;
     std::unique_ptr<proto::Central> central;
     bool killed = false;
   };

@@ -60,8 +60,4 @@ using EventLog = obs::Recorder<FarmEvent>;
 
 inline constexpr std::uint64_t kAllEvents = obs::kAllKinds;
 
-[[nodiscard]] constexpr std::uint64_t event_bit(FarmEvent::Kind kind) {
-  return obs::kind_bit(kind);
-}
-
 }  // namespace gs::proto

@@ -202,6 +202,92 @@ TEST_F(RootCentralTest, DomainLeaseExpiryMarksSliceDead) {
   EXPECT_TRUE(root.adapter_status(ip(5))->alive);
 }
 
+TEST_F(RootCentralTest, LeaseSweepDisabledWhenRefreshDisabled) {
+  // With domain_refresh = 0 uplinks never renew, so lease expiry must be
+  // off too — otherwise every healthy-but-quiet domain would be swept and
+  // its whole slice marked dead on schedule.
+  params_.domain_refresh = 0;
+  params_.domain_lease = sim::seconds(8);
+  RootCentral root(sim_, params_);
+  root.activate(ip(250));
+  send(root, full(0, 1, {entry(9, 1, 9), entry(5, 2, 9)}));
+  sim_.run_until(sim_.now() + sim::seconds(40));
+  EXPECT_EQ(root.domain_count(), 1u);
+  EXPECT_TRUE(root.adapter_status(ip(5))->alive);
+}
+
+TEST_F(RootCentralTest, RejectedDeltaFromKnownDomainRenewsLease) {
+  params_.domain_lease = sim::seconds(8);
+  params_.domain_refresh = sim::seconds(3);
+  RootCentral root(sim_, params_);
+  root.activate(ip(250));
+  send(root, full(0, 1, {entry(9, 1, 9), entry(5, 2, 9)}));
+  // The uplink is alive and mid-recovery: every delta past a gap is bounced
+  // with need_full, and each bounce still renews the domain lease without
+  // touching the row table.
+  for (int i = 0; i < 4; ++i) {
+    sim_.run_until(sim_.now() + sim::seconds(5));
+    auto ack = send(root, delta(0, 3, {entry(4, 3, 9)}));
+    EXPECT_TRUE(ack.need_full);
+  }
+  EXPECT_EQ(root.domain_count(), 1u);
+  EXPECT_TRUE(root.adapter_status(ip(5))->alive);
+  EXPECT_FALSE(root.adapter_status(ip(4)).has_value());
+  // Real silence past the lease still retires the domain.
+  sim_.run_until(sim_.now() + sim::seconds(12));
+  EXPECT_EQ(root.domain_count(), 0u);
+  EXPECT_FALSE(root.adapter_status(ip(5))->alive);
+}
+
+TEST_F(RootCentralTest, DuplicateDigestRenewsLease) {
+  params_.domain_lease = sim::seconds(8);
+  params_.domain_refresh = sim::seconds(3);
+  RootCentral root(sim_, params_);
+  root.activate(ip(250));
+  send(root, full(0, 1, {entry(9, 1, 9), entry(5, 2, 9)}));
+  auto rep = delta(0, 2, {entry(4, 3, 9)});
+  send(root, rep);
+  // Retransmissions of an already-applied digest are first-hand evidence
+  // the uplink is alive: each duplicate ack must renew the lease, or an
+  // uplink whose acks keep getting lost would have its live slice marked
+  // dead. (A duplicated delta, unlike a full, cannot re-establish an
+  // expired domain, so a missed renewal shows as need_full here.)
+  for (int i = 0; i < 4; ++i) {
+    sim_.run_until(sim_.now() + sim::seconds(5));
+    EXPECT_FALSE(send(root, rep).need_full);
+  }
+  EXPECT_EQ(root.domain_count(), 1u);
+  EXPECT_TRUE(root.adapter_status(ip(4))->alive);
+  // Real silence past the lease still retires the domain.
+  sim_.run_until(sim_.now() + sim::seconds(12));
+  EXPECT_EQ(root.domain_count(), 0u);
+}
+
+TEST_F(RootCentralTest, DomainLeaseBoundaryIsExclusive) {
+  // The lease check is strictly `>`: a domain whose last digest is EXACTLY
+  // domain_lease old is still inside its lease, so a digest landing on the
+  // same tick as the sweep renews a live domain instead of racing its
+  // expiry.
+  params_.domain_lease = sim::seconds(8);
+  params_.domain_refresh = sim::seconds(3);
+  RootCentral root(sim_, params_);
+  root.activate(ip(250));
+  auto rep = full(0, 1, {entry(9, 1, 9), entry(5, 2, 9)});
+  send(root, rep);
+  // Sweeps run every lease/4 = 2s; the one at t = 8s sees
+  // now - last_report == domain_lease exactly and must keep the domain.
+  sim_.run_until(sim::seconds(8));
+  ASSERT_EQ(root.domain_count(), 1u);
+  EXPECT_TRUE(root.adapter_status(ip(5))->alive);
+  // A duplicate arriving on the boundary tick renews the lease...
+  send(root, rep);
+  sim_.run_until(sim::seconds(14));
+  EXPECT_EQ(root.domain_count(), 1u);
+  // ...after which real silence past the lease still retires the domain.
+  sim_.run_until(sim::seconds(20));
+  EXPECT_EQ(root.domain_count(), 0u);
+}
+
 TEST_F(RootCentralTest, ReactivationStartsEmpty) {
   send(full(0, 1, {entry(9, 1, 9)}));
   root_.deactivate();
