@@ -39,17 +39,20 @@ struct NodeRecord {
 class ConfigDb {
  public:
   void put_node(const NodeRecord& record) { nodes_[record.node] = record; }
-  void put_adapter(const AdapterRecord& record) {
-    adapters_[record.adapter] = record;
-  }
+  // Inserts or overwrites the record. The lookup indexes are rebuilt by the
+  // next indexed lookup.
+  void put_adapter(const AdapterRecord& record);
 
   [[nodiscard]] std::optional<NodeRecord> node(util::NodeId id) const;
   [[nodiscard]] std::optional<AdapterRecord> adapter(util::AdapterId id) const;
   [[nodiscard]] std::optional<AdapterRecord> adapter_by_ip(
       util::IpAddress ip) const;
 
+  // Scans every record (expected VLANs move with set_expected_vlan).
   [[nodiscard]] std::vector<AdapterRecord> adapters_on_vlan(
       util::VlanId vlan) const;
+  // Indexed, like adapter_by_ip: records come back in AdapterId order, and
+  // adapter_by_ip returns the lowest AdapterId holding the IP.
   [[nodiscard]] std::vector<AdapterRecord> adapters_of_node(
       util::NodeId node) const;
   [[nodiscard]] std::vector<AdapterRecord> adapters_on_switch(
@@ -67,8 +70,30 @@ class ConfigDb {
   [[nodiscard]] std::size_t adapter_count() const { return adapters_.size(); }
 
  private:
+  // Adapter ids sorted by one key (IP bits, node or switch id), ties in
+  // AdapterId order.
+  struct Keyed {
+    std::uint32_t key;
+    util::AdapterId id;
+  };
+  struct Indexes {
+    std::vector<Keyed> by_ip;
+    std::vector<Keyed> by_node;
+    std::vector<Keyed> by_switch;
+  };
+
+  // Built by the first indexed lookup after a put_adapter, which drops
+  // them: puts come in bulk while a farm is built, lookups (Central's
+  // failure correlation, up to three per committed failure) during the run.
+  // Building in one sorting pass keeps the bulk puts as cheap as plain map
+  // inserts. The cache makes even const lookups unsafe to run concurrently.
+  [[nodiscard]] const Indexes& indexes() const;
+  [[nodiscard]] std::vector<AdapterRecord> records(
+      const std::vector<Keyed>& index, std::uint32_t key) const;
+
   std::map<util::NodeId, NodeRecord> nodes_;
   std::map<util::AdapterId, AdapterRecord> adapters_;
+  mutable std::optional<Indexes> indexes_;
 };
 
 }  // namespace gs::config

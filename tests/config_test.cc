@@ -2,8 +2,12 @@
 // verifier (§2.2).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "config/configdb.h"
 #include "config/verifier.h"
+#include "util/rng.h"
 
 namespace gs::config {
 namespace {
@@ -71,6 +75,68 @@ TEST_F(ConfigDbTest, SetExpectedVlan) {
 TEST_F(ConfigDbTest, SetNodeDomain) {
   db_.set_node_domain(util::NodeId(0), util::DomainId(7));
   EXPECT_EQ(db_.node(util::NodeId(0))->domain, util::DomainId(7));
+}
+
+// The indexed lookups against a brute-force scan of all_adapters(), across
+// random inserts and overwrites that move records between IPs, nodes and
+// switches. Small key spaces force shared IPs and many records per key.
+TEST(ConfigDbIndexTest, IndexedLookupsMatchAScanAcrossOverwrites) {
+  util::Rng rng(2001);
+  ConfigDb db;
+  const auto pick = [&](std::uint64_t n) {
+    return static_cast<std::uint32_t>(rng.below(n));
+  };
+  const auto ip_of = [](std::uint32_t i) {
+    return util::IpAddress(10, 1, 0, static_cast<std::uint8_t>(i));
+  };
+  const auto ids = [](const std::vector<AdapterRecord>& records) {
+    std::vector<std::uint32_t> out;
+    for (const AdapterRecord& r : records) out.push_back(r.adapter.value());
+    return out;
+  };
+  for (int step = 0; step < 2000; ++step) {
+    db.put_adapter(record(pick(200), pick(40), ip_of(pick(150)), 1 + pick(4),
+                          pick(12), pick(48)));
+    if (step % 50 != 49) continue;
+
+    const std::vector<AdapterRecord> all = db.all_adapters();
+    for (std::uint32_t key = 0; key < 150; ++key) {
+      std::optional<AdapterRecord> want;
+      for (const AdapterRecord& r : all) {
+        if (r.ip == ip_of(key)) {
+          want = r;
+          break;
+        }
+      }
+      const auto got = db.adapter_by_ip(ip_of(key));
+      ASSERT_EQ(got.has_value(), want.has_value()) << "ip key " << key;
+      if (want) {
+        EXPECT_EQ(got->adapter, want->adapter);
+      }
+    }
+    for (std::uint32_t key = 0; key < 40; ++key) {
+      std::vector<AdapterRecord> want;
+      for (const AdapterRecord& r : all)
+        if (r.node == util::NodeId(key)) want.push_back(r);
+      EXPECT_EQ(ids(db.adapters_of_node(util::NodeId(key))), ids(want))
+          << "node " << key;
+    }
+    for (std::uint32_t key = 0; key < 12; ++key) {
+      std::vector<AdapterRecord> want;
+      for (const AdapterRecord& r : all)
+        if (r.wired_switch == util::SwitchId(key)) want.push_back(r);
+      const auto got = db.adapters_on_switch(util::SwitchId(key));
+      EXPECT_EQ(ids(got), ids(want)) << "switch " << key;
+      // Whole records, not just ids: an overwrite must not leave stale
+      // fields behind.
+      for (std::size_t i = 0; i < got.size() && i < want.size(); ++i) {
+        EXPECT_EQ(got[i].ip, want[i].ip);
+        EXPECT_EQ(got[i].node, want[i].node);
+        EXPECT_EQ(got[i].wired_port, want[i].wired_port);
+      }
+    }
+  }
+  EXPECT_LE(db.adapter_count(), 200u);
 }
 
 // --- Verifier ---------------------------------------------------------------------

@@ -190,7 +190,7 @@ TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
 
   sim::WallClock clock;
   net::EventLoop loop;
-  net::UdpPortMap map(48400, 16);  // ports: see udp_transport_test.cc
+  net::UdpPortMap map(48600, 16);  // ports: see udp_transport_test.cc
 
   auto transport_a = std::make_unique<net::UdpTransport>(
       loop, map, std::vector<net::UdpTransport::PortSpec>{loop_port(1)});
@@ -236,7 +236,7 @@ TEST(ShutdownOrderingTest, RealFarmKillThenTeardownIsClean) {
   // kill_node closes sockets while the victim's timers are still queued;
   // the farm must keep running and tear down without touching them.
   farm::RealFarm::Options opts;
-  opts.base_port = 48440;  // ports: see udp_transport_test.cc
+  opts.base_port = 48640;  // ports: see udp_transport_test.cc
   opts.vlan_stride = 16;
   opts.params.start_skew_max = 0;
   opts.params.beacon_phase = sim::milliseconds(80);

@@ -1,8 +1,10 @@
 // UdpTransport backend tests: the VLAN -> loopback-port mapping, framed
-// round-trips over real sockets (unicast and the multicast fan-out), the
-// receive path (burst copies, datagrams from foreign ports), the close()
-// lifecycle, and CRC-failure drop accounting through an actual GsDaemon
-// running over UDP.
+// round-trips over real sockets (unicast, and multicast through the VLAN's
+// beacon group), the receive path (burst copies, datagrams from foreign
+// ports), group membership (joins with the receive handler, survives a
+// handler closing peers, isolated between deployments), the close()
+// lifecycle, loud failure on an overlapping port range, and CRC-failure
+// drop accounting through an actual GsDaemon running over UDP.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -43,9 +45,8 @@ TEST(UdpPortMapTest, VlansGetDisjointRangesAndEndpointsSequentialPorts) {
   EXPECT_EQ(map.ip_of(48099), std::nullopt);
   EXPECT_EQ(map.port_of(ip(99)), std::nullopt);
 
-  EXPECT_EQ(map.vlan_ports(util::VlanId(1)),
-            (std::vector<std::uint16_t>{48000, 48001}));
-  EXPECT_TRUE(map.vlan_ports(util::VlanId(7)).empty());
+  EXPECT_EQ(map.vlan_base(util::VlanId(1)), 48000);
+  EXPECT_EQ(map.vlan_base(util::VlanId(2)), 48032);
 }
 
 TEST(UdpPortMapTest, MaxVlansMatchesPortSpaceArithmetic) {
@@ -66,13 +67,13 @@ TEST(UdpPortMapTest, PortSpaceExhaustionAbortsInsteadOfWrapping) {
 }
 
 // Every case that binds sockets gets its own port range. gtest-discovered
-// cases run as parallel ctest processes, SO_REUSEADDR lets two processes
-// bind one UDP port, and the transport accepts any loopback datagram whose
-// source port its map resolves — so two cases sharing a range receive each
-// other's frames. Socket-binding ranges across the suite:
-//   48100-48379  UdpTransportTest: one 40-port block per case, VLAN stride
-//                16 (two VLANs at most)
-//   48400-48499  ShutdownOrderingTest (realtime_test.cc)
+// cases run as parallel ctest processes, and a port (or a VLAN's beacon
+// group, which is named by the VLAN's first port) binds once per host: a
+// case whose range overlaps another's aborts on "bind(127.0.0.1) failed"
+// when the two run at once. Socket-binding ranges across the suite:
+//   48100-48579  UdpTransportTest: one 40-port block per case, VLAN stride
+//                16 (two VLANs, or two one-VLAN deployments, at most)
+//   48600-48699  ShutdownOrderingTest (realtime_test.cc)
 // All clear of the examples (47000+) and farm_e2e's real_udp (29000+).
 enum class Block : std::uint16_t {
   kUnicast,
@@ -82,12 +83,19 @@ enum class Block : std::uint16_t {
   kCorruptFrame,
   kReceiveBurst,
   kUnknownSource,
+  kGroupStranger,
+  kCloseMidDelivery,
+  kTwoDeployments,
+  kJoinOnHandler,
+  kOverlappingRange,
 };
 
+std::uint16_t block_base(Block block) {
+  return static_cast<std::uint16_t>(48100 + 40 * static_cast<int>(block));
+}
+
 struct Harness {
-  explicit Harness(Block block)
-      : map(static_cast<std::uint16_t>(48100 + 40 * static_cast<int>(block)),
-            16) {}
+  explicit Harness(Block block) : map(block_base(block), 16) {}
 
   sim::WallClock clock;
   EventLoop loop;
@@ -96,7 +104,23 @@ struct Harness {
   bool pump(const std::function<bool()>& until) {
     return loop.run_until(clock, clock.now() + sim::seconds(5), until);
   }
+  // Lets stray datagrams (ones a test expects never to arrive) land.
+  void settle() {
+    loop.run_until(clock, clock.now() + sim::milliseconds(50), nullptr);
+  }
 };
+
+// A socket outside every deployment, on a kernel-assigned loopback port.
+int stranger_socket() {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+  sockaddr_in any{};
+  any.sin_family = AF_INET;
+  any.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (fd < 0 || ::bind(fd, reinterpret_cast<const sockaddr*>(&any),
+                       sizeof(any)) != 0)
+    return -1;
+  return fd;
+}
 
 TEST(UdpTransportTest, UnicastRoundTripDeliversFrameWithResolvedSource) {
   Harness h(Block::kUnicast);
@@ -143,8 +167,11 @@ TEST(UdpTransportTest, MulticastFansOutToVlanPeersOnly) {
   EXPECT_EQ(b_got, 1);
   EXPECT_EQ(c_got, 1);
   EXPECT_EQ(a_got, 0);      // never self-delivers
-  EXPECT_EQ(other_got, 0);  // different VLAN range
-  EXPECT_EQ(a.stats().frames_sent, 2u);  // one sendto per peer
+  EXPECT_EQ(other_got, 0);  // different VLAN, different group
+  EXPECT_EQ(a.stats().frames_sent, 1u);  // one group datagram
+  EXPECT_EQ(b.stats().frames_received, 1u);
+  EXPECT_EQ(c.stats().frames_received, 1u);
+  EXPECT_EQ(a.stats().frames_received, 0u);
 }
 
 TEST(UdpTransportTest, UnknownDestinationCountsAsSendErrorNotFailure) {
@@ -279,15 +306,11 @@ TEST(UdpTransportTest, DatagramFromUnregisteredPortIsDroppedAndCounted) {
   b.set_receive_handler(0, [&](const Datagram& d) { got.push_back(d); });
 
   // A stranger: a socket on a kernel-assigned port the map never issued.
-  const int stranger = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+  const int stranger = stranger_socket();
   ASSERT_GE(stranger, 0);
-  sockaddr_in any{};
-  any.sin_family = AF_INET;
-  any.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(stranger, reinterpret_cast<const sockaddr*>(&any),
-                   sizeof(any)),
-            0);
-  sockaddr_in dst = any;
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   dst.sin_port = htons(b.udp_port(0));
   const std::vector<std::uint8_t> junk = {0x01, 0x02, 0x03};
   ASSERT_EQ(::sendto(stranger, junk.data(), junk.size(), 0,
@@ -305,6 +328,177 @@ TEST(UdpTransportTest, DatagramFromUnregisteredPortIsDroppedAndCounted) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].src, ip(1));
   EXPECT_EQ(got[0].payload.size(), good.size());
+}
+
+// The beacon group as the header documents it: 239.255.x.y, where x.y are
+// the two bytes of the VLAN's first port, on that port.
+sockaddr_in beacon_group(UdpPortMap& map, util::VlanId vlan) {
+  const std::uint16_t base = map.vlan_base(vlan);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(base);
+  addr.sin_addr.s_addr = htonl(0xEFFF0000u | base);
+  return addr;
+}
+
+TEST(UdpTransportTest, StrangerDatagramToTheGroupReachesNoHandler) {
+  Harness h(Block::kGroupStranger);
+  UdpTransport a(h.loop, h.map, {spec(1, 1)});
+  UdpTransport b(h.loop, h.map, {spec(2, 1)});
+  std::vector<Datagram> a_got, b_got;
+  a.set_receive_handler(0, [&](const Datagram& d) { a_got.push_back(d); });
+  b.set_receive_handler(0, [&](const Datagram& d) { b_got.push_back(d); });
+
+  const int stranger = stranger_socket();
+  ASSERT_GE(stranger, 0);
+  const in_addr loopback{htonl(INADDR_LOOPBACK)};
+  ASSERT_EQ(::setsockopt(stranger, IPPROTO_IP, IP_MULTICAST_IF, &loopback,
+                         sizeof(loopback)),
+            0);
+  const sockaddr_in group = beacon_group(h.map, util::VlanId(1));
+  const std::vector<std::uint8_t> junk = {0x01, 0x02, 0x03};
+  ASSERT_EQ(::sendto(stranger, junk.data(), junk.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&group), sizeof(group)),
+            static_cast<ssize_t>(junk.size()));
+  ::close(stranger);
+
+  // A member's beacon behind it shows the drop did not stall the group.
+  const std::vector<std::uint8_t> good = {0xaa, 0xbb};
+  ASSERT_TRUE(a.multicast(0, kBeaconGroup, Payload::copy_of(good)));
+  ASSERT_TRUE(h.pump([&] { return !b_got.empty(); }));
+  h.settle();
+
+  EXPECT_TRUE(a_got.empty());
+  ASSERT_EQ(b_got.size(), 1u);
+  EXPECT_EQ(b_got[0].src, ip(1));
+  EXPECT_EQ(b_got[0].dst, kBeaconGroup);
+  EXPECT_TRUE(b_got[0].multicast);
+  EXPECT_EQ(b_got[0].payload.size(), good.size());
+  // Each member would have heard the stranger; each counts the drop.
+  EXPECT_EQ(a.stats().recv_unknown, 1u);
+  EXPECT_EQ(b.stats().recv_unknown, 1u);
+  EXPECT_EQ(b.stats().frames_received, 1u);
+}
+
+TEST(UdpTransportTest, HandlerClosingLaterMembersMidDeliverySkipsThem) {
+  // One group datagram is handed to b, c, d and e in join order. b's handler
+  // closes c and destroys d outright; e's closes its own transport. The
+  // hand-off must skip c and d, still reach e, and touch no freed memory
+  // (the ASan job turns a violation into a failure).
+  Harness h(Block::kCloseMidDelivery);
+  UdpTransport a(h.loop, h.map, {spec(1, 1)});
+  UdpTransport b(h.loop, h.map, {spec(2, 1)});
+  UdpTransport c(h.loop, h.map, {spec(3, 1)});
+  auto d = std::make_unique<UdpTransport>(
+      h.loop, h.map, std::vector<UdpTransport::PortSpec>{spec(4, 1)});
+  UdpTransport e(h.loop, h.map, {spec(5, 1)});
+
+  int b_got = 0, c_got = 0, d_got = 0, e_got = 0;
+  b.set_receive_handler(0, [&](const Datagram&) {
+    ++b_got;
+    c.close();
+    d.reset();
+  });
+  c.set_receive_handler(0, [&](const Datagram&) { ++c_got; });
+  d->set_receive_handler(0, [&](const Datagram&) { ++d_got; });
+  e.set_receive_handler(0, [&](const Datagram&) {
+    ++e_got;
+    e.close();
+  });
+
+  const std::vector<std::uint8_t> beacon = {0x42};
+  ASSERT_TRUE(a.multicast(0, kBeaconGroup, Payload::copy_of(beacon)));
+  ASSERT_TRUE(h.pump([&] { return e_got > 0; }));
+  EXPECT_EQ(b_got, 1);
+  EXPECT_EQ(c_got, 0);
+  EXPECT_EQ(d_got, 0);
+  EXPECT_EQ(e_got, 1);
+  EXPECT_EQ(c.stats().frames_received, 0u);
+  EXPECT_TRUE(e.closed());
+
+  // The group outlives the holes: the next beacon reaches b alone.
+  ASSERT_TRUE(a.multicast(0, kBeaconGroup, Payload::copy_of(beacon)));
+  ASSERT_TRUE(h.pump([&] { return b_got > 1; }));
+  h.settle();
+  EXPECT_EQ(b_got, 2);
+  EXPECT_EQ(e_got, 1);
+}
+
+TEST(UdpTransportTest, DeploymentsWithDisjointBasesNeverHearEachOther) {
+  // Two deployments in one process, each with VLAN 1 and the same gs IPs:
+  // only the port ranges differ, and so do the beacon groups.
+  const std::uint16_t base = block_base(Block::kTwoDeployments);
+  sim::WallClock clock;
+  EventLoop loop;
+  UdpPortMap map1(base, 16);
+  UdpPortMap map2(static_cast<std::uint16_t>(base + 16), 16);
+  UdpTransport a1(loop, map1, {spec(1, 1)});
+  UdpTransport b1(loop, map1, {spec(2, 1)});
+  UdpTransport a2(loop, map2, {spec(1, 1)});
+  UdpTransport b2(loop, map2, {spec(2, 1)});
+
+  std::vector<std::uint8_t> b1_got, b2_got;
+  int a_got = 0;
+  a1.set_receive_handler(0, [&](const Datagram&) { ++a_got; });
+  a2.set_receive_handler(0, [&](const Datagram&) { ++a_got; });
+  b1.set_receive_handler(
+      0, [&](const Datagram& d) { b1_got.push_back(d.payload.data()[0]); });
+  b2.set_receive_handler(
+      0, [&](const Datagram& d) { b2_got.push_back(d.payload.data()[0]); });
+
+  const std::vector<std::uint8_t> one = {0x01}, two = {0x02};
+  ASSERT_TRUE(a1.multicast(0, kBeaconGroup, Payload::copy_of(one)));
+  ASSERT_TRUE(a2.multicast(0, kBeaconGroup, Payload::copy_of(two)));
+  ASSERT_TRUE(loop.run_until(clock, clock.now() + sim::seconds(5), [&] {
+    return !b1_got.empty() && !b2_got.empty();
+  }));
+  loop.run_until(clock, clock.now() + sim::milliseconds(50), nullptr);
+
+  EXPECT_EQ(b1_got, std::vector<std::uint8_t>{0x01});
+  EXPECT_EQ(b2_got, std::vector<std::uint8_t>{0x02});
+  EXPECT_EQ(a_got, 0);
+  for (const UdpTransport* t : {&a1, &b1, &a2, &b2})
+    EXPECT_EQ(t->stats().recv_unknown, 0u);
+}
+
+TEST(UdpTransportTest, EndpointJoinsTheGroupWithItsReceiveHandler) {
+  Harness h(Block::kJoinOnHandler);
+  UdpTransport a(h.loop, h.map, {spec(1, 1)});
+  UdpTransport b(h.loop, h.map, {spec(2, 1)});
+  UdpTransport c(h.loop, h.map, {spec(3, 1)});
+  EXPECT_EQ(h.loop.fd_count(), 3u);  // no handler yet, no group socket
+
+  int b_got = 0, c_got = 0;
+  c.set_receive_handler(0, [&](const Datagram&) { ++c_got; });
+  EXPECT_EQ(h.loop.fd_count(), 4u);  // the first join opens the group
+
+  const std::vector<std::uint8_t> beacon = {0x07};
+  ASSERT_TRUE(a.multicast(0, kBeaconGroup, Payload::copy_of(beacon)));
+  ASSERT_TRUE(h.pump([&] { return c_got == 1; }));
+  h.settle();
+  EXPECT_EQ(b.stats().frames_received, 0u);  // b has no handler: not a member
+
+  b.set_receive_handler(0, [&](const Datagram&) { ++b_got; });
+  EXPECT_EQ(h.loop.fd_count(), 4u);  // one group socket per VLAN
+  ASSERT_TRUE(a.multicast(0, kBeaconGroup, Payload::copy_of(beacon)));
+  ASSERT_TRUE(h.pump([&] { return b_got == 1 && c_got == 2; }));
+
+  b.set_receive_handler(0, nullptr);  // removing the handler leaves
+  ASSERT_TRUE(a.multicast(0, kBeaconGroup, Payload::copy_of(beacon)));
+  ASSERT_TRUE(h.pump([&] { return c_got == 3; }));
+  h.settle();
+  EXPECT_EQ(b_got, 1);
+  EXPECT_EQ(b.stats().frames_received, 1u);
+}
+
+// Without SO_REUSEADDR a second deployment on an occupied range cannot bind
+// and aborts, rather than sharing the ports and stealing their frames.
+TEST(UdpTransportDeathTest, OverlappingPortRangeAbortsOnBind) {
+  Harness h(Block::kOverlappingRange);
+  UdpTransport a(h.loop, h.map, {spec(1, 1)});
+  UdpPortMap second(block_base(Block::kOverlappingRange), 16);
+  EXPECT_DEATH(UdpTransport(h.loop, second, {spec(1, 1)}),
+               "port range in use");
 }
 
 }  // namespace
