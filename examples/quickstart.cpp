@@ -57,6 +57,16 @@ gs::proto::Params real_params() {
   return p;
 }
 
+// Node n's gs IP: host numbers from 10.1.0.101 upward, carried into the
+// third octet and skipping the .0 network and .255 broadcast addresses, so
+// every node gets a distinct, ordinary address and a lower n keeps a lower
+// IP.
+gs::util::IpAddress real_node_ip(int n) {
+  const int host = 100 + n;
+  return gs::util::IpAddress(10, 1, static_cast<std::uint8_t>(host / 254),
+                             static_cast<std::uint8_t>(1 + host % 254));
+}
+
 int run_real(int nodes) {
   std::printf("Booting %d real GulfStream daemons over loopback UDP...\n",
               nodes);
@@ -74,7 +84,7 @@ int run_real(int nodes) {
     spec.name = "real-" + std::to_string(n);
     spec.central_eligible = true;
     gs::net::UdpTransport::PortSpec port;
-    port.ip = gs::util::IpAddress(10, 1, 0, static_cast<std::uint8_t>(101 + n));
+    port.ip = real_node_ip(n);
     port.mac = gs::util::MacAddress(static_cast<std::uint64_t>(1 + n));
     port.vlan = vlan;
     spec.ports.push_back(port);

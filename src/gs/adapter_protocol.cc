@@ -87,12 +87,19 @@ void AdapterProtocol::shutdown() {
   // adapter numbers its reports from scratch (GSC recognizes the fresh
   // instance by the full snapshot, not by the counter).
   report_seq_ = 0;
-  state_ = AdapterState::kIdle;
+  set_state(AdapterState::kIdle);
 }
 
 void AdapterProtocol::restart() {
   GS_CHECK(state_ == AdapterState::kIdle);
   begin_beaconing();
+}
+
+void AdapterProtocol::set_state(AdapterState next) {
+  const bool listened = in_beacon_group(state_);
+  state_ = next;
+  const bool listens = in_beacon_group(next);
+  if (listens != listened && net_.listen_beacons) net_.listen_beacons(listens);
 }
 
 bool AdapterProtocol::unicast(util::IpAddress to, net::Payload frame) {
@@ -103,7 +110,7 @@ bool AdapterProtocol::unicast(util::IpAddress to, net::Payload frame) {
 // --- Discovery ----------------------------------------------------------------
 
 void AdapterProtocol::begin_beaconing() {
-  state_ = AdapterState::kBeaconing;
+  set_state(AdapterState::kBeaconing);
   clear_heard();
   defer_join_attempted_ = false;
   beacon_send_timer_.cancel();
@@ -177,7 +184,7 @@ void AdapterProtocol::end_beacon_phase() {
     if (pending_adds_.empty()) {
       install_singleton();
     } else {
-      state_ = AdapterState::kLeader;  // tentative: formation in flight
+      set_state(AdapterState::kLeader);  // tentative: formation in flight
       propose();
     }
     return;
@@ -185,7 +192,7 @@ void AdapterProtocol::end_beacon_phase() {
 
   // Defer AMG formation and leadership to the highest IP heard (§2.1).
   trace(obs::TraceKind::kElectionDeferred, best);
-  state_ = AdapterState::kWaitingForLeader;
+  set_state(AdapterState::kWaitingForLeader);
   beacon_send_timer_.cancel();
   defer_timer_ = sim_.after(params_.defer_timeout, [this] { defer_expired(); });
 }
@@ -332,7 +339,7 @@ void AdapterProtocol::install(MembershipView view) {
   }
 
   const bool lead = committed_.leader().ip == self_ip();
-  state_ = lead ? AdapterState::kLeader : AdapterState::kMember;
+  set_state(lead ? AdapterState::kLeader : AdapterState::kMember);
   trace(obs::TraceKind::kViewInstalled, committed_.leader().ip,
         committed_.view(), committed_.size());
   clear_member_duty_state();
@@ -595,7 +602,10 @@ void AdapterProtocol::handle_beacon(util::IpAddress src, const Beacon& msg) {
       break;  // handled below
     case AdapterState::kMember:
     case AdapterState::kIdle:
-      return;  // "only the leader continues to multicast and listen" (§2.1)
+      // "Only the leader continues to multicast and listen" (§2.1): these
+      // states left the beacon group, so only a beacon already in flight
+      // when the adapter left gets here.
+      return;
   }
   (void)src;
 
@@ -934,7 +944,7 @@ void AdapterProtocol::do_takeover() {
     pending_removes_[ip] = RemoveReason::kFailed;
     departures_[ip] = RemoveReason::kFailed;
   }
-  state_ = AdapterState::kLeader;
+  set_state(AdapterState::kLeader);
   need_full_ = true;  // fresh leadership: establish the group at GSC anew
   force_recommit_ = true;
   propose();

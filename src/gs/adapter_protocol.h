@@ -50,6 +50,15 @@ enum class AdapterState : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(AdapterState s);
 
+// Whether an adapter in state `s` listens to its VLAN's beacon group: while
+// it collects beacons (kBeaconing, kWaitingForLeader) or leads. A committed
+// member does not, as "only the leader continues to multicast and listen"
+// (§2.1), and neither does an idle adapter.
+[[nodiscard]] constexpr bool in_beacon_group(AdapterState s) {
+  return s == AdapterState::kBeaconing ||
+         s == AdapterState::kWaitingForLeader || s == AdapterState::kLeader;
+}
+
 // What became of one verified frame handed to a protocol instance. The
 // daemon turns this into per-type decoded / per-reason dropped accounting,
 // counted per receiver even when the decode itself came from the shared
@@ -107,6 +116,9 @@ class AdapterProtocol : private AdapterProtocolHot {
   struct NetIface {
     std::function<bool(util::IpAddress, net::Payload)> unicast;
     std::function<bool(net::Payload)> beacon_multicast;
+    // Joins (true) or leaves (false) the VLAN's beacon group; called each
+    // time in_beacon_group(state()) flips.
+    std::function<void(bool)> listen_beacons;
     std::function<bool()> loopback_ok;
   };
 
@@ -231,6 +243,8 @@ class AdapterProtocol : private AdapterProtocolHot {
   void reset_to_discovery();
 
   // --- Helpers --------------------------------------------------------------------
+  // The only writer of state_: keeps the beacon group's membership in step.
+  void set_state(AdapterState next);
   void cancel_all_timers();
   void bump_clock(std::uint64_t seen) { clock_ = std::max(clock_, seen); }
   void start_fd();

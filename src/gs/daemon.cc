@@ -73,6 +73,9 @@ GsDaemon::GsDaemon(Options opts)
     net.beacon_multicast = [this, i](net::Payload frame) {
       return transport_.multicast(i, net::kBeaconGroup, std::move(frame));
     };
+    net.listen_beacons = [this, i](bool listen) {
+      transport_.listen_beacons(i, listen);
+    };
     net.loopback_ok = [this, i] { return transport_.loopback_ok(i); };
 
     AdapterProtocol::Hooks hooks;

@@ -28,7 +28,8 @@ class Fabric;
 
 // One adapter record is exactly one cache line: Fabric stores them by value
 // (see Fabric::adapters_), and the per-frame checks — health at send and at
-// delivery, the source IP, the receive handler — read only this line.
+// delivery, beacon-group membership at multicast, the source IP, the
+// receive handler — read only this line.
 class alignas(64) Adapter {
  public:
   using ReceiveHandler = std::function<void(const Datagram&)>;
@@ -61,6 +62,12 @@ class alignas(64) Adapter {
     return health_ == HealthState::kUp;
   }
 
+  // Whether multicasts on the adapter's VLAN reach it: the VLAN's beacon
+  // group is the only group. A new adapter is in it; the daemon leaves
+  // while its protocol instance neither beacons nor collects beacons.
+  [[nodiscard]] bool in_beacon_group() const { return in_beacon_group_; }
+  void set_in_beacon_group(bool member) { in_beacon_group_ = member; }
+
   void set_receive_handler(ReceiveHandler handler) {
     on_receive_ = std::move(handler);
   }
@@ -80,6 +87,7 @@ class alignas(64) Adapter {
 
   // What the traffic paths read comes first; identity and wiring follow.
   HealthState health_ = HealthState::kUp;
+  bool in_beacon_group_ = true;  // in the padding before ip_
   util::IpAddress ip_;
   util::AdapterId id_;
   util::NodeId node_;

@@ -389,14 +389,17 @@ bool Fabric::multicast(util::AdapterId from, util::IpAddress group,
       Datagram{src.ip(), group, /*multicast=*/true, vlan, std::move(payload)},
       load);
   const bool may_corrupt = seg.model().corrupt_probability > 0;
-  // Only this VLAN's wired members — not the whole farm. Receivers the
-  // frame cannot reach (dead switch, partition, dead adapter) count as
-  // unreachable, exactly as the unicast path counts them; only members
-  // rewired to another VLAN are out of scope entirely. A member's port is
-  // in `vlan`, so its stored VLAN differs only while its switch is dead.
+  // Only this VLAN's wired members — not the whole farm — and of those
+  // only the ones in the beacon group at send time: an adapter that left
+  // is out of scope (neither delivered nor unreachable) and costs no draw.
+  // Receivers the frame cannot reach (dead switch, partition, dead
+  // adapter) count as unreachable, exactly as the unicast path counts
+  // them. A member's port is in `vlan`, so its stored VLAN differs only
+  // while its switch is dead.
   for (util::AdapterId id : state.members) {
     if (id == from) continue;
     const Adapter& a = adapter(id);
+    if (!a.in_beacon_group()) continue;
     if (wiring_[id.value()].vlan != vlan || !seg.connected(from, id) ||
         !a.can_recv()) {
       load.frames_unreachable++;

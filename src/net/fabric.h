@@ -3,7 +3,9 @@
 //
 // Delivery semantics match a switched Ethernet VLAN:
 //  * a datagram reaches exactly the adapters whose live switch port carries
-//    the sender's VLAN (and the same partition side, if partitioned);
+//    the sender's VLAN (and the same partition side, if partitioned); a
+//    multicast reaches only those of them in the VLAN's beacon group
+//    (Adapter::in_beacon_group(), checked at send time);
 //  * multicast occupies the segment once regardless of receiver count —
 //    the wire-load counters reflect that, which is what makes the §4.2
 //    heartbeat-load comparisons meaningful;
@@ -146,7 +148,8 @@ class Fabric {
     return send(from, dst, make_payload(std::move(bytes)));
   }
 
-  // Multicast to every other adapter on the sender's VLAN.
+  // Multicast to every other adapter on the sender's VLAN that is in the
+  // beacon group. One that left is skipped before any draw or counter.
   bool multicast(util::AdapterId from, util::IpAddress group, Payload payload);
   bool multicast(util::AdapterId from, util::IpAddress group,
                  std::vector<std::uint8_t> bytes) {

@@ -42,6 +42,10 @@ class FabricTransport final : public Transport {
     return fabric_.multicast(id(port), group, std::move(frame));
   }
 
+  void listen_beacons(std::size_t port, bool listen) override {
+    fabric_.adapter(id(port)).set_in_beacon_group(listen);
+  }
+
   [[nodiscard]] bool loopback_ok(std::size_t port) const override {
     return fabric_.adapter(id(port)).loopback_ok();
   }

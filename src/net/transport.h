@@ -41,9 +41,17 @@ class Transport {
   virtual bool unicast(std::size_t port, util::IpAddress dst,
                        Payload frame) = 0;
 
-  // Multicast to every other member of the port's VLAN.
+  // Multicast to every other port of the port's VLAN that is in the VLAN's
+  // beacon group when the frame is sent (the simulator) or read off the
+  // group socket (UDP). The sender need not be in the group.
   virtual bool multicast(std::size_t port, util::IpAddress group,
                          Payload frame) = 0;
+
+  // Joins (true) or leaves (false) the port's VLAN beacon group. Every
+  // port starts in it; the daemon keeps it there exactly while the
+  // adapter's protocol beacons or collects beacons (§2.1: once an AMG has
+  // formed, only its leader listens).
+  virtual void listen_beacons(std::size_t port, bool listen) = 0;
 
   // The §3 loopback self-test: can this port still hear itself?
   [[nodiscard]] virtual bool loopback_ok(std::size_t port) const = 0;

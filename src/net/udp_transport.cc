@@ -140,7 +140,9 @@ std::uint16_t UdpPortMap::vlan_base(util::VlanId vlan) {
 
 std::uint16_t UdpPortMap::add(util::IpAddress ip, util::VlanId vlan) {
   GS_CHECK(!ip.is_unspecified());
-  if (const auto existing = port_of(ip)) return *existing;
+  GS_CHECK_MSG(!port_of(ip).has_value(),
+               "duplicate gs IP: another endpoint of this deployment already "
+               "holds it");
   const std::uint16_t base = vlan_base(vlan);
   Vlan& state = vlans_[vlan];
   GS_CHECK_MSG(state.endpoints < vlan_stride_,
@@ -207,6 +209,13 @@ void UdpPortMap::leave(util::VlanId vlan, const UdpTransport* transport,
   }
 }
 
+void UdpPortMap::set_listening(util::VlanId vlan,
+                               const UdpTransport* transport,
+                               std::size_t index, bool listening) {
+  for (Member& m : vlans_.at(vlan).members)
+    if (m.transport == transport && m.index == index) m.listening = listening;
+}
+
 void UdpPortMap::on_group_readable(util::VlanId vlan, Vlan& state) {
   while (true) {
     sockaddr_in src{};
@@ -225,9 +234,10 @@ void UdpPortMap::on_group_readable(util::VlanId vlan, Vlan& state) {
                             ? ip_of(src_port)
                             : std::nullopt;
     if (!src_ip) {
-      // Not part of this deployment: every member would have dropped it.
+      // Not part of this deployment: every listener would have dropped it.
       for (const Member& m : state.members)
-        if (m.transport != nullptr) ++m.transport->stats_.recv_unknown;
+        if (m.transport != nullptr && m.listening)
+          ++m.transport->stats_.recv_unknown;
       continue;
     }
 
@@ -237,15 +247,16 @@ void UdpPortMap::on_group_readable(util::VlanId vlan, Vlan& state) {
         *src_ip, kBeaconGroup, /*multicast=*/true, vlan,
         Payload::copy_of(std::span<const std::uint8_t>(
             recv_buf_.get(), static_cast<std::size_t>(n)))};
-    // A handler may close any transport (leave() then punches a hole) or
-    // install a handler (join() appends): index the vector, copy each
-    // member out before calling it, and stop at the members present when
-    // the datagram arrived.
+    // A handler may close any transport (leave() then punches a hole),
+    // install a handler (join() appends) or flip a listen bit in place:
+    // index the vector, copy each member out before calling it, and stop
+    // at the members present when the datagram arrived.
     ++state.delivering;
     const std::size_t count = state.members.size();
     for (std::size_t i = 0; i < count; ++i) {
       const Member m = state.members[i];
-      if (m.transport == nullptr || m.port == src_port) continue;
+      if (m.transport == nullptr || !m.listening || m.port == src_port)
+        continue;
       m.transport->deliver(m.index, dgram);
     }
     if (--state.delivering == 0) {
@@ -343,10 +354,19 @@ void UdpTransport::set_receive_handler(std::size_t port,
   sock.handler = std::move(handler);
   const bool member = sock.handler != nullptr;
   if (member && !was_member) {
-    map_.join(loop_, sock.spec.vlan, {this, port, sock.udp_port});
+    map_.join(loop_, sock.spec.vlan,
+              {this, port, sock.udp_port, sock.listening});
   } else if (was_member && !member) {
     map_.leave(sock.spec.vlan, this, port);
   }
+}
+
+void UdpTransport::listen_beacons(std::size_t port, bool listen) {
+  GS_CHECK(port < socks_.size());
+  Sock& sock = socks_[port];
+  sock.listening = listen;
+  if (sock.handler != nullptr)
+    map_.set_listening(sock.spec.vlan, this, port, listen);
 }
 
 void UdpTransport::send_to(std::size_t index, const sockaddr_in& dst,

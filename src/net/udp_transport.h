@@ -14,7 +14,8 @@
 //    127.0.0.1 (even though `lo` lacks IFF_MULTICAST). Ranges are disjoint
 //    per deployment, so groups are too. The map owns one group socket per
 //    VLAN, joined on 127.0.0.1, which hands each datagram to every other
-//    member of the VLAN from one read and one shared Payload;
+//    member of the VLAN that listens (listen_beacons) from one read and one
+//    shared Payload;
 //  * received datagrams resolve the sender's gs IP from the source UDP port
 //    (every send, multicast too, leaves from the sender's own bound socket).
 //
@@ -89,7 +90,8 @@ class UdpPortMap {
   UdpPortMap& operator=(const UdpPortMap&) = delete;
 
   // Registers an endpoint, assigning the next free port in its VLAN's range
-  // (first registration of a VLAN claims the next range). Idempotent per IP.
+  // (first registration of a VLAN claims the next range). Aborts on an IP
+  // already registered: two endpoints cannot share a gs IP.
   std::uint16_t add(util::IpAddress ip, util::VlanId vlan);
 
   [[nodiscard]] std::optional<std::uint16_t> port_of(util::IpAddress ip) const;
@@ -111,6 +113,7 @@ class UdpPortMap {
     UdpTransport* transport = nullptr;  // null: left during a delivery
     std::size_t index = 0;              // the transport's port index
     std::uint16_t port = 0;             // its UDP port, to skip the sender
+    bool listening = true;              // false: skipped by hand-offs
   };
   struct Vlan {
     std::uint16_t base = 0;
@@ -125,6 +128,10 @@ class UdpPortMap {
   void join(EventLoop& loop, util::VlanId vlan, const Member& member);
   void leave(util::VlanId vlan, const UdpTransport* transport,
              std::size_t index);
+  // Flips a member's listen bit in place; safe mid-delivery, as the
+  // hand-off loop reads each member afresh.
+  void set_listening(util::VlanId vlan, const UdpTransport* transport,
+                     std::size_t index, bool listening);
   void on_group_readable(util::VlanId vlan, Vlan& state);
 
   std::uint16_t base_port_;
@@ -169,8 +176,9 @@ class UdpTransport final : public Transport {
   };
 
   // Binds one socket per spec (ports allocated through `map`) and registers
-  // them with `loop`. Both must outlive this transport. A port joins its
-  // VLAN's beacon group while it has a receive handler installed.
+  // them with `loop`. Both must outlive this transport. A port is a member
+  // of its VLAN's beacon group while it has a receive handler installed,
+  // and gets the group's datagrams while it also listens (the default).
   UdpTransport(EventLoop& loop, UdpPortMap& map,
                std::vector<PortSpec> ports);
   ~UdpTransport() override;
@@ -189,6 +197,7 @@ class UdpTransport final : public Transport {
   bool multicast(std::size_t port, util::IpAddress group,
                  Payload frame) override;
   [[nodiscard]] bool loopback_ok(std::size_t port) const override;
+  void listen_beacons(std::size_t port, bool listen) override;
   void set_receive_handler(std::size_t port, ReceiveHandler handler) override;
 
   // --- Lifecycle ----------------------------------------------------------
@@ -212,6 +221,7 @@ class UdpTransport final : public Transport {
     int fd = -1;
     std::uint16_t udp_port = 0;
     std::uint16_t group_port = 0;  // the VLAN's first port
+    bool listening = true;         // carried into the group on join
     ReceiveHandler handler;
   };
 

@@ -17,6 +17,7 @@ std::string_view to_string(Violation::Kind kind) {
     case Violation::Kind::kTrace: return "trace";
     case Violation::Kind::kSpanLeak: return "span-leak";
     case Violation::Kind::kCodec: return "codec";
+    case Violation::Kind::kBeaconGroup: return "beacon-group";
   }
   return "?";
 }
@@ -58,6 +59,7 @@ class Checker {
     check_amgs();
     check_central();
     check_codec();
+    check_beacon_groups();
     return std::move(violations_);
   }
 
@@ -132,6 +134,28 @@ class Checker {
       detail << dropped << " frame(s) dropped by daemons but the fabric "
              << "injected no corruption";
       add(Violation::Kind::kCodec, detail.str());
+    }
+  }
+
+  // Invariant 7: the fabric delivers beacons to exactly the adapters
+  // whose protocol listens for them.
+  void check_beacon_groups() {
+    net::Fabric& fabric = farm_.fabric();
+    for (std::size_t n = 0; n < farm_.node_count(); ++n) {
+      proto::GsDaemon& daemon = farm_.daemon(n);
+      if (daemon.halted()) continue;
+      const std::vector<util::AdapterId>& ids = farm_.node_adapters(n);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        const net::Adapter& adapter = fabric.adapter(ids[i]);
+        const proto::AdapterState state = daemon.protocol(i).state();
+        if (adapter.in_beacon_group() == proto::in_beacon_group(state))
+          continue;
+        std::ostringstream detail;
+        detail << adapter.ip() << " is " << proto::to_string(state)
+               << " but " << (adapter.in_beacon_group() ? "in" : "out of")
+               << " its VLAN's beacon group";
+        add(Violation::Kind::kBeaconGroup, detail.str());
+      }
     }
   }
 

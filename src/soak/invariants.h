@@ -14,7 +14,11 @@
 //     leader and member set — and the active Central is hosted where the
 //     admin-AMG election says it should be.
 // Trace-derived checks (obs::TraceInvariants) are folded in by the runner
-// as kind kTrace.
+// as kind kTrace. Checked on every adapter of every running node, healthy
+// or not: an adapter is in its VLAN's beacon group exactly while its
+// protocol beacons, waits for a leader or leads (proto::in_beacon_group).
+// A transition that forgot to rejoin would otherwise show only as slower,
+// singleton-first discovery.
 #pragma once
 
 #include <string>
@@ -37,6 +41,8 @@ struct Violation {
     kSpanLeak,          // invariant 5: latency span left open after quiesce
     kCodec,             // invariant 6: frames dropped without injected
                         // corruption anywhere on the fabric
+    kBeaconGroup,       // invariant 7: an adapter's beacon-group membership
+                        // disagrees with its protocol state
   };
   Kind kind = Kind::kNotConverged;
   std::string detail;
@@ -48,8 +54,9 @@ struct Violation {
 [[nodiscard]] std::string format_violations(
     const std::vector<Violation>& violations);
 
-// Checks invariants 1-3 against the farm's current state. Call only after
-// a quiescent window: mid-churn the protocol is *supposed* to be in flux.
+// Checks invariants 1-3, 6 and 7 against the farm's current state. Call
+// only after a quiescent window: mid-churn the protocol is *supposed* to be
+// in flux.
 [[nodiscard]] std::vector<Violation> check_farm_invariants(farm::Farm& farm);
 
 }  // namespace gs::soak

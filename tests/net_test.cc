@@ -434,6 +434,89 @@ TEST_F(FabricTest, MulticastIgnoresMembersRewiredToAnotherVlan) {
   EXPECT_EQ(fabric_.load(util::VlanId(1)).frames_unreachable, 0u);
 }
 
+// An adapter out of the beacon group is out of a multicast's scope: not
+// delivered, not unreachable (dead or not), and it draws nothing from the
+// segment's stream. Unicast still reaches it. Membership is read at send
+// time: a frame in flight when it rejoins still misses it; the next one
+// does not.
+TEST_F(FabricTest, MulticastSkipsAdaptersThatLeftTheBeaconGroup) {
+  auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
+  auto b = make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));
+  auto c = make(util::NodeId(2), util::VlanId(1), util::IpAddress(10, 0, 0, 3));
+  auto d = make(util::NodeId(3), util::VlanId(1), util::IpAddress(10, 0, 0, 4));
+  EXPECT_TRUE(fabric_.adapter(c).in_beacon_group());  // the default
+  int b_got = 0, c_got = 0;
+  fabric_.adapter(b).set_receive_handler([&](const Datagram&) { ++b_got; });
+  fabric_.adapter(c).set_receive_handler([&](const Datagram&) { ++c_got; });
+  fabric_.adapter(d).set_receive_handler([](const Datagram&) { FAIL(); });
+  fabric_.adapter(c).set_in_beacon_group(false);
+  fabric_.adapter(d).set_in_beacon_group(false);
+  fabric_.set_adapter_health(d, HealthState::kDown);
+  const SegmentLoad& load = fabric_.load(util::VlanId(1));
+
+  // A sender need not be in the group itself.
+  fabric_.adapter(a).set_in_beacon_group(false);
+  EXPECT_TRUE(fabric_.multicast(a, kBeaconGroup, test_frame()));
+  sim_.run();
+  EXPECT_EQ(b_got, 1);
+  EXPECT_EQ(c_got, 0);
+  EXPECT_EQ(load.frames_sent, 1u);
+  EXPECT_EQ(load.frames_delivered, 1u);
+  EXPECT_EQ(load.frames_unreachable, 0u);
+
+  EXPECT_TRUE(fabric_.send(a, util::IpAddress(10, 0, 0, 3), test_frame()));
+  sim_.run();
+  EXPECT_EQ(c_got, 1);
+
+  fabric_.multicast(a, kBeaconGroup, test_frame());
+  fabric_.adapter(c).set_in_beacon_group(true);  // while the frame flies
+  sim_.run();
+  EXPECT_EQ(b_got, 2);
+  EXPECT_EQ(c_got, 1);
+  fabric_.multicast(a, kBeaconGroup, test_frame());
+  sim_.run();
+  EXPECT_EQ(b_got, 3);
+  EXPECT_EQ(c_got, 2);
+  EXPECT_EQ(load.frames_unreachable, 0u);  // d left: never counted
+}
+
+TEST(FabricBeaconGroup, SkippedMemberDrawsNothingFromTheSegmentStream) {
+  // Two fabrics on one seed and a jittered channel; in the second, an
+  // adapter out of the group sits between the sender and the receiver in
+  // member order. The receiver's arrival times must match exactly.
+  auto arrivals = [](bool with_non_member) {
+    sim::Simulator sim;
+    Fabric fabric(sim, util::Rng(7));
+    ChannelModel model;
+    model.base_latency = sim::microseconds(100);
+    model.jitter = sim::microseconds(80);
+    model.loss_probability = 0.2;
+    fabric.set_default_channel(model);
+    fabric.set_processing_delay(sim::microseconds(50));
+    const util::SwitchId sw = fabric.add_switch(4);
+    std::vector<util::AdapterId> ids;
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      ids.push_back(fabric.add_adapter(util::NodeId(i)));
+      fabric.attach(ids.back(), sw, util::VlanId(i == 1 && !with_non_member
+                                                     ? 2
+                                                     : 1));
+      fabric.set_adapter_ip(ids.back(), util::IpAddress(10, 0, 0, static_cast<std::uint8_t>(1 + i)));
+    }
+    fabric.adapter(ids[1]).set_in_beacon_group(false);
+    std::vector<sim::SimTime> times;
+    fabric.adapter(ids[2]).set_receive_handler(
+        [&](const Datagram&) { times.push_back(sim.now()); });
+    for (int round = 0; round < 20; ++round) {
+      fabric.multicast(ids[0], kBeaconGroup, test_frame());
+      sim.run();
+    }
+    return times;
+  };
+  const std::vector<sim::SimTime> alone = arrivals(false);
+  EXPECT_GT(alone.size(), 5u);
+  EXPECT_EQ(arrivals(true), alone);
+}
+
 TEST_F(FabricTest, ResetLoadAccountingKeepsVlanEntriesAndReferences) {
   auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
   make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));

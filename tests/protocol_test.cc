@@ -59,6 +59,9 @@ class ProtoHarness {
     net.beacon_multicast = [this, id](net::Payload frame) {
       return fabric_.multicast(id, net::kBeaconGroup, std::move(frame));
     };
+    net.listen_beacons = [this, id](bool listen) {
+      fabric_.adapter(id).set_in_beacon_group(listen);
+    };
     net.loopback_ok = [this, id] { return fabric_.adapter(id).loopback_ok(); };
 
     AdapterProtocol::Hooks hooks;
@@ -94,6 +97,18 @@ class ProtoHarness {
   }
   util::AdapterId id_of(std::uint8_t host) {
     return adapter_ids_.at(util::IpAddress(10, 0, 0, host));
+  }
+  // Whether the fabric delivers this host's VLAN multicasts to it.
+  bool in_group(std::uint8_t host) {
+    return fabric_.adapter(id_of(host)).in_beacon_group();
+  }
+  // Every adapter's group membership matches its protocol state.
+  bool groups_follow_state() {
+    for (const auto& [ip, proto] : protocols_)
+      if (fabric_.adapter(adapter_ids_.at(ip)).in_beacon_group() !=
+          in_beacon_group(proto->state()))
+        return false;
+    return true;
   }
 
   bool group_converged(const std::vector<std::uint8_t>& hosts) {
@@ -194,6 +209,76 @@ TEST(Protocol, TwoGroupsOnDistinctVlansStayDistinct) {
     return h.group_converged({1, 2}) && h.group_converged({3, 4});
   }));
   EXPECT_FALSE(h.at(2).committed().contains(util::IpAddress(10, 0, 0, 4)));
+}
+
+// --- Beacon group -----------------------------------------------------------------------
+
+// Only adapters that beacon, wait for a leader or lead stay in the VLAN's
+// beacon group: committed members leave on install, a successor rejoins on
+// takeover, a reset rejoins to rediscover, and a shut-down adapter leaves.
+TEST(Protocol, BeaconGroupFollowsFormationTakeoverResetAndRestart) {
+  ProtoHarness h(crisp_params());
+  for (int host : {1, 2, 3}) h.add(static_cast<std::uint8_t>(host));
+  h.start_all();
+  EXPECT_TRUE(h.in_group(1) && h.in_group(2) && h.in_group(3));
+  ASSERT_TRUE(h.run_until(sim::seconds(15),
+                          [&] { return h.group_converged({1, 2, 3}); }));
+  EXPECT_TRUE(h.in_group(3));  // the leader keeps listening
+  EXPECT_FALSE(h.in_group(2));
+  EXPECT_FALSE(h.in_group(1));
+
+  // Takeover: the leader dies and rank 2 succeeds it, rejoining the group.
+  h.fabric_.set_adapter_health(h.id_of(3), net::HealthState::kDown);
+  ASSERT_TRUE(h.run_until(h.sim_.now() + sim::seconds(20),
+                          [&] { return h.group_converged({1, 2}); }));
+  EXPECT_EQ(h.at(2).stats().takeovers, 1u);
+  EXPECT_TRUE(h.in_group(2));
+  EXPECT_FALSE(h.in_group(1));
+
+  // Reset: told it is stale, member 1 falls back to discovery and rejoins
+  // the group to beacon; its leader absorbs it again.
+  StaleNotice notice{};
+  notice.current_view = h.at(2).committed().view();
+  h.at(1).handle_frame(util::IpAddress(10, 0, 0, 2), MsgType::kStaleNotice,
+                       encode(notice));
+  EXPECT_EQ(h.at(1).stats().resets, 1u);
+  EXPECT_EQ(h.at(1).state(), AdapterState::kBeaconing);
+  EXPECT_TRUE(h.in_group(1));
+  ASSERT_TRUE(h.run_until(h.sim_.now() + sim::seconds(30),
+                          [&] { return h.group_converged({1, 2}); }));
+  EXPECT_FALSE(h.in_group(1));
+
+  // Shutdown leaves whatever the state; restart rejoins to rediscover.
+  h.at(2).shutdown();
+  EXPECT_FALSE(h.in_group(2));
+  h.at(2).restart();
+  EXPECT_TRUE(h.in_group(2));
+  EXPECT_TRUE(h.groups_follow_state());
+}
+
+// A deferring adapter stays in the group, so it keeps hearing the leader's
+// beacons and its defer expiry can ask that leader to join. The leader is
+// taken out of the group here, so it never absorbs the newcomer from its
+// beacons: only the newcomer's JoinRequest brings it in.
+TEST(Protocol, WaitingForLeaderHearsLeaderBeaconsAndJoinsOnDeferExpiry) {
+  ProtoHarness h(crisp_params());
+  for (int host : {3, 7}) h.add(static_cast<std::uint8_t>(host));
+  h.start_all();
+  ASSERT_TRUE(
+      h.run_until(sim::seconds(15), [&] { return h.group_converged({3, 7}); }));
+  h.fabric_.adapter(h.id_of(7)).set_in_beacon_group(false);
+
+  AdapterProtocol& late = h.add(5);
+  late.start();
+  ASSERT_TRUE(h.run_until(h.sim_.now() + sim::seconds(5), [&] {
+    return late.state() == AdapterState::kWaitingForLeader;
+  }));
+  EXPECT_TRUE(h.in_group(5));
+  EXPECT_EQ(late.stats().joins_requested, 0u);
+  ASSERT_TRUE(h.run_until(h.sim_.now() + sim::seconds(10),
+                          [&] { return h.group_converged({3, 5, 7}); }));
+  EXPECT_EQ(late.stats().joins_requested, 1u);
+  EXPECT_FALSE(h.in_group(5));
 }
 
 // --- Failure handling ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // UdpTransport backend tests: the VLAN -> loopback-port mapping, framed
 // round-trips over real sockets (unicast, and multicast through the VLAN's
 // beacon group), the receive path (burst copies, datagrams from foreign
-// ports), group membership (joins with the receive handler, survives a
-// handler closing peers, isolated between deployments), the close()
-// lifecycle, loud failure on an overlapping port range, and CRC-failure
-// drop accounting through an actual GsDaemon running over UDP.
+// ports), group membership (joins with the receive handler, hand-offs only
+// to listening ports, survives a handler closing peers, isolated between
+// deployments), the close() lifecycle, loud failure on an overlapping port
+// range or a duplicate IP, and CRC-failure drop accounting through an
+// actual GsDaemon running over UDP.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -38,7 +39,6 @@ TEST(UdpPortMapTest, VlansGetDisjointRangesAndEndpointsSequentialPorts) {
   EXPECT_EQ(map.add(ip(1), util::VlanId(1)), 48000);
   EXPECT_EQ(map.add(ip(2), util::VlanId(1)), 48001);
   EXPECT_EQ(map.add(ip(3), util::VlanId(2)), 48032);  // next stride
-  EXPECT_EQ(map.add(ip(1), util::VlanId(1)), 48000);  // idempotent per IP
 
   EXPECT_EQ(map.port_of(ip(2)), 48001);
   EXPECT_EQ(map.ip_of(48032), ip(3));
@@ -47,6 +47,16 @@ TEST(UdpPortMapTest, VlansGetDisjointRangesAndEndpointsSequentialPorts) {
 
   EXPECT_EQ(map.vlan_base(util::VlanId(1)), 48000);
   EXPECT_EQ(map.vlan_base(util::VlanId(2)), 48032);
+}
+
+// A second endpoint with an IP already in the map used to get the first
+// one's port back, and its bind then aborted on a misleading "port range in
+// use?". The map refuses the duplicate itself.
+TEST(UdpPortMapDeathTest, DuplicateIpAbortsNamingTheDuplicate) {
+  UdpPortMap map(48000, 32);
+  (void)map.add(ip(1), util::VlanId(1));
+  EXPECT_DEATH((void)map.add(ip(1), util::VlanId(1)), "duplicate gs IP");
+  EXPECT_DEATH((void)map.add(ip(1), util::VlanId(2)), "duplicate gs IP");
 }
 
 TEST(UdpPortMapTest, MaxVlansMatchesPortSpaceArithmetic) {
@@ -71,7 +81,7 @@ TEST(UdpPortMapTest, PortSpaceExhaustionAbortsInsteadOfWrapping) {
 // group, which is named by the VLAN's first port) binds once per host: a
 // case whose range overlaps another's aborts on "bind(127.0.0.1) failed"
 // when the two run at once. Socket-binding ranges across the suite:
-//   48100-48579  UdpTransportTest: one 40-port block per case, VLAN stride
+//   48100-48515  UdpTransportTest: one 32-port block per case, VLAN stride
 //                16 (two VLANs, or two one-VLAN deployments, at most)
 //   48600-48699  ShutdownOrderingTest (realtime_test.cc)
 // All clear of the examples (47000+) and farm_e2e's real_udp (29000+).
@@ -88,10 +98,11 @@ enum class Block : std::uint16_t {
   kTwoDeployments,
   kJoinOnHandler,
   kOverlappingRange,
+  kListenBeacons,
 };
 
 std::uint16_t block_base(Block block) {
-  return static_cast<std::uint16_t>(48100 + 40 * static_cast<int>(block));
+  return static_cast<std::uint16_t>(48100 + 32 * static_cast<int>(block));
 }
 
 struct Harness {
@@ -489,6 +500,43 @@ TEST(UdpTransportTest, EndpointJoinsTheGroupWithItsReceiveHandler) {
   h.settle();
   EXPECT_EQ(b_got, 1);
   EXPECT_EQ(b.stats().frames_received, 1u);
+}
+
+// A member that stops listening keeps its handler (unicasts still reach
+// it) but gets no group hand-off until it listens again; a port that stops
+// listening before it installs its handler joins the group silent.
+TEST(UdpTransportTest, PortThatLeftTheBeaconGroupGetsNoHandOff) {
+  Harness h(Block::kListenBeacons);
+  UdpTransport a(h.loop, h.map, {spec(1, 1)});
+  UdpTransport b(h.loop, h.map, {spec(2, 1)});
+  UdpTransport c(h.loop, h.map, {spec(3, 1)});
+  UdpTransport d(h.loop, h.map, {spec(4, 1)});
+  int b_got = 0, c_got = 0, d_got = 0;
+  b.set_receive_handler(0, [&](const Datagram&) { ++b_got; });
+  c.set_receive_handler(0, [&](const Datagram&) { ++c_got; });
+  d.listen_beacons(0, false);
+  d.set_receive_handler(0, [&](const Datagram&) { ++d_got; });
+  b.listen_beacons(0, false);
+
+  const std::vector<std::uint8_t> beacon = {0x07};
+  ASSERT_TRUE(a.multicast(0, kBeaconGroup, Payload::copy_of(beacon)));
+  ASSERT_TRUE(h.pump([&] { return c_got == 1; }));
+  h.settle();
+  EXPECT_EQ(b_got, 0);
+  EXPECT_EQ(d_got, 0);
+  EXPECT_EQ(b.stats().frames_received, 0u);
+  EXPECT_EQ(d.stats().frames_received, 0u);
+
+  ASSERT_TRUE(a.unicast(0, ip(2), Payload::copy_of(beacon)));
+  ASSERT_TRUE(h.pump([&] { return b_got == 1; }));
+
+  b.listen_beacons(0, true);
+  d.listen_beacons(0, true);
+  ASSERT_TRUE(a.multicast(0, kBeaconGroup, Payload::copy_of(beacon)));
+  ASSERT_TRUE(h.pump([&] { return b_got == 2 && c_got == 2 && d_got == 1; }));
+  h.settle();
+  EXPECT_EQ(a.stats().frames_sent, 3u);
+  EXPECT_EQ(c.stats().frames_received, 2u);
 }
 
 // Without SO_REUSEADDR a second deployment on an occupied range cannot bind
