@@ -981,9 +981,8 @@ void AdapterProtocol::start_fd() {
   ctx.sim = &sim_;
   ctx.params = &params_;
   ctx.self = self_ip();
-  ctx.send = [this](util::IpAddress to, net::Payload frame) {
-    unicast(to, std::move(frame));
-  };
+  GS_CHECK(net_.unicast != nullptr);
+  ctx.send = net_.unicast;
   ctx.suspect = [this](util::IpAddress ip) { raise_suspicion(ip); };
   ctx.loopback_ok = net_.loopback_ok;
   ctx.rng = rng;

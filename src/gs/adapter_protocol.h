@@ -261,10 +261,11 @@ class AdapterProtocol : private AdapterProtocolHot {
     return net::Payload::copy_of(build_frame(scratch_, msg));
   }
 
-  // The second line serves a heartbeat send: the encode scratch, then the
-  // unicast function the detector's frames leave through. framed() reuses
-  // the scratch for every frame this adapter (and its failure detector)
-  // encodes; it grows to the largest frame and stays there.
+  // framed() reuses the scratch for every frame this adapter (and its
+  // failure detector) encodes; it grows to the largest frame and stays
+  // there. A heartbeat period reads neither it nor net_: the detector
+  // resends a frame built once per view through its own copy of
+  // net_.unicast.
   wire::Writer scratch_;
   sim::TimeSource& sim_;
   NetIface net_;

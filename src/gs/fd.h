@@ -40,12 +40,16 @@ namespace gs::proto {
 struct FdContext {
   sim::TimeSource* sim = nullptr;
   const Params* params = nullptr;
-  // Shared encode scratch (the owning AdapterProtocol's); optional — tests
+  // Shared encode scratch (the owning AdapterProtocol's), used once per
+  // view for the heartbeat frame and per poll or ping; optional — tests
   // that drive a detector standalone may leave it null.
   wire::Writer* encode_scratch = nullptr;
   util::IpAddress self;
-  // Unicast a complete frame to a member of the group.
-  std::function<void(util::IpAddress, net::Payload)> send;
+  // Unicast a complete frame to a member of the group: the daemon's own
+  // unicast hook (AdapterProtocol::NetIface::unicast), so a detector's send
+  // never passes through the protocol. The result (false when the frame
+  // did not leave the NIC) is ignored by every detector.
+  std::function<bool(util::IpAddress, net::Payload)> send;
   // Raise a local suspicion (already deduplicated downstream).
   std::function<void(util::IpAddress)> suspect;
   // The adapter's loopback self-test; used before blaming a silent

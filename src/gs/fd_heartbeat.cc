@@ -27,6 +27,7 @@ std::vector<std::size_t> HeartbeatFd::subgroup_of(std::size_t rank,
 
 void HeartbeatFd::stop_all() {
   running_ = false;
+  frame_ = {};
   send_timer_.cancel();
   poll_timer_.cancel();
   for (Deadline& d : deadlines_) d.timer.cancel();
@@ -106,6 +107,7 @@ void HeartbeatFd::start(const MembershipView& view) {
   running_ = true;
   compute_peers();
   if (targets_.empty() && monitored_.empty() && chunks_.empty()) return;
+  if (!targets_.empty()) frame_ = ctx_.framed(Heartbeat{view_.view()});
 
   // Stagger the first heartbeat so group members do not synchronize.
   const auto period = ctx_.params->hb_period;
@@ -127,26 +129,16 @@ void HeartbeatFd::start(const MembershipView& view) {
 
 void HeartbeatFd::restart(const MembershipView& view, util::Rng rng) {
   // start() cancels the old view's timers in the order a destroyed detector
-  // would; the sequence counters restart as they would in a new one.
+  // would; the poll sequence restarts as it would in a new one.
   ctx_.rng = rng;
-  hb_seq_ = 0;
   poll_seq_ = 0;
   start(view);
 }
 
 void HeartbeatFd::send_heartbeats() {
   if (!running_) return;
-  ++hb_seq_;
-  if (!targets_.empty()) {
-    // Every target gets the same bytes, so frame once and share the payload:
-    // one encode + CRC per period, and the payload's cached verdict and
-    // decode serve every receiver.
-    Heartbeat hb{};
-    hb.view = view_.view();
-    hb.seq = hb_seq_;
-    const net::Payload frame = ctx_.framed(hb);
-    for (util::IpAddress peer : targets_) ctx_.send(peer, frame);
-  }
+  // Every target in every period gets the same bytes: the view's frame.
+  for (util::IpAddress peer : targets_) ctx_.send(peer, frame_);
   send_timer_ = ctx_.sim->after(ctx_.params->hb_period,
                                 [this] { send_heartbeats(); });
 }

@@ -9,11 +9,12 @@
 namespace gs::proto {
 
 // What one heartbeat cycle reads in the detector: the running flag, the
-// view number the heartbeat must carry, the send sequence, whom to send
-// to, and the deadline table a received heartbeat re-arms. HeartbeatFd
-// inherits it right after its vtable pointer, with its context's pointer
-// members next: an arrival reads only the object's first two cache lines,
-// and a send adds the third, which holds ctx_.send.
+// frame every period resends, the view number an arrival must carry, whom
+// to send to, and the deadline table a received heartbeat re-arms.
+// HeartbeatFd inherits it right after its vtable pointer, with its
+// context's pointer members next: an arrival reads only the object's first
+// two cache lines, and a send adds the third, which holds ctx_.send — the
+// daemon's unicast hook itself, so a period never reads the AdapterProtocol.
 struct HeartbeatFdHot {
   // One monitored peer's heartbeat deadline.
   struct Deadline {
@@ -22,7 +23,10 @@ struct HeartbeatFdHot {
   };
 
   bool running_ = false;
-  std::uint64_t hb_seq_ = 0;
+  // The view's heartbeat, framed once by start(): every period resends
+  // these bytes, so encode, CRC and the receivers' verify and decode (the
+  // payload's cache) happen once per view. Released by stop_all().
+  net::Payload frame_;
   MembershipView view_;
   std::vector<util::IpAddress> targets_;  // peers we heartbeat
   // Every peer we expect heartbeats from, ascending IP; filled once per

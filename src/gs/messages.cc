@@ -181,13 +181,11 @@ GS_DEFINE_CODEC_SHIMS(Commit)
 
 void encode_into(wire::Writer& w, const Heartbeat& msg) {
   w.u64(msg.view);
-  w.u64(msg.seq);
 }
 
 bool decode_typed(std::span<const std::uint8_t> payload, Heartbeat* out) {
   wire::Reader r(payload);
   out->view = r.u64();
-  out->seq = r.u64();
   return r.finish();
 }
 

@@ -146,10 +146,12 @@ struct Commit {
   MemberList members;  // rank order, like Prepare
 };
 
+// Ring heartbeat (§3, Figure 4): the sender's committed view and nothing
+// else. A detector frames it once per view and resends those bytes every
+// period, so it must carry nothing that changes from one period to the next.
 struct Heartbeat {
   static constexpr MsgType kType = MsgType::kHeartbeat;
   std::uint64_t view = 0;
-  std::uint64_t seq = 0;
 };
 
 // Member -> leader (or -> successor when the leader itself is suspected).

@@ -112,6 +112,37 @@ TEST_F(DaemonTest, CorruptFramesAreDroppedAndCounted) {
   EXPECT_EQ(daemon.frames_dropped(), before + 1);
 }
 
+TEST_F(DaemonTest, HeartbeatWithTrailingSeqIsADecodeDrop) {
+  build(2, 1);
+  stabilize();
+  // A heartbeat in the old {view, seq} layout: the envelope verifies, the
+  // typed payload has 8 trailing bytes.
+  GsDaemon& daemon = farm_->daemon(0);
+  const util::AdapterId id = farm_->node_adapters(0)[0];
+  wire::Writer w;
+  w.u64(daemon.protocol(0).committed().view());
+  w.u64(1);
+  const std::vector<std::uint8_t> payload = w.take();
+  ASSERT_EQ(payload.size(), 16u);
+
+  net::Datagram dgram;
+  dgram.src = farm_->fabric().adapter(farm_->node_adapters(1)[0]).ip();
+  dgram.dst = farm_->fabric().adapter(id).ip();
+  dgram.vlan = farm_->fabric().vlan_of(id);
+  dgram.payload = net::make_payload(wire::encode_frame(
+      static_cast<std::uint16_t>(MsgType::kHeartbeat), payload));
+  ASSERT_TRUE(dgram.payload.verified().ok());
+  const auto decode_drops = [&] {
+    return daemon.wire_stats()
+        .dropped[static_cast<std::size_t>(WireStats::Drop::kDecode)];
+  };
+  const std::uint64_t before = decode_drops();
+  const std::uint64_t dropped_before = daemon.frames_dropped();
+  farm_->fabric().adapter(id).deliver(dgram);
+  EXPECT_EQ(decode_drops(), before + 1);
+  EXPECT_EQ(daemon.frames_dropped(), dropped_before + 1);
+}
+
 TEST_F(DaemonTest, HaltSilencesNode) {
   build(4, 2);
   stabilize();

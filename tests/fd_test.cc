@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -49,6 +50,7 @@ class FdHarness {
                                      net::Payload frame) {
         route(self, to, std::vector<std::uint8_t>(frame.bytes().begin(),
                                                   frame.bytes().end()));
+        return true;
       };
       ctx.suspect = [this, self = m.ip](util::IpAddress suspect) {
         suspicions_.emplace_back(self, suspect);
@@ -354,6 +356,7 @@ class StandaloneFd {
     ctx.rng = rng;
     ctx.send = [this](util::IpAddress to, net::Payload frame) {
       sent_.push_back(SentFrame{sim_.now(), to, std::move(frame)});
+      return true;
     };
     ctx.suspect = [this](util::IpAddress ip) {
       suspected_.emplace_back(sim_.now(), ip);
@@ -367,6 +370,7 @@ class StandaloneFd {
   [[nodiscard]] FailureDetector& fd() { return *fd_; }
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] const std::vector<SentFrame>& sent() const { return sent_; }
+  void clear_sent() { sent_.clear(); }
   // Every suspicion raised, with the time it was raised.
   [[nodiscard]] const std::vector<std::pair<sim::SimTime, util::IpAddress>>&
   suspected() const {
@@ -399,20 +403,61 @@ TEST(RingFd, BiRingSendsOnePayloadToBothNeighboursPerPeriod) {
     // Ring {5,4,3,2,1}: 3 heartbeats its right (2) and left (4) neighbours.
     EXPECT_EQ(a.to, member(2).ip);
     EXPECT_EQ(b.to, member(4).ip);
-    EXPECT_TRUE(std::ranges::equal(a.frame.bytes(), b.frame.bytes()));
-    // Framed once: both sends share one payload (and its decode cache).
-    EXPECT_EQ(a.frame.data(), b.frame.data());
+    // Framed once per view: both sends of every period share one payload
+    // (and its decode cache).
+    EXPECT_EQ(a.frame.identity(), sent[0].frame.identity());
+    EXPECT_EQ(b.frame.identity(), sent[0].frame.identity());
     auto decoded = wire::decode_frame(a.frame.bytes());
     ASSERT_TRUE(decoded.ok());
     ASSERT_EQ(static_cast<MsgType>(decoded.frame.type), MsgType::kHeartbeat);
     const auto hb = decode_Heartbeat(decoded.frame.payload);
     ASSERT_TRUE(hb.has_value());
     EXPECT_EQ(hb->view, 1u);
-    EXPECT_EQ(hb->seq, i / 2 + 1);
     if (i > 0) {
       EXPECT_EQ(a.at - sent[i - 2].at, period);
     }
   }
+}
+
+// Decodes a captured heartbeat frame; nullopt when it is not one.
+std::optional<Heartbeat> heartbeat_in(const net::Payload& frame) {
+  const auto decoded = wire::decode_frame(frame.bytes());
+  if (!decoded.ok() ||
+      static_cast<MsgType>(decoded.frame.type) != MsgType::kHeartbeat)
+    return std::nullopt;
+  return decode_Heartbeat(decoded.frame.payload);
+}
+
+TEST(RingFd, RestartFramesTheNewViewAndStopReleasesIt) {
+  sim::Simulator sim;
+  StandaloneFd host(sim, FdKind::kBidirectionalRing, 5, 3);
+  const sim::SimDuration period = host.params().hb_period;
+  sim.run_until(4 * period);
+  ASSERT_FALSE(host.sent().empty());
+  const net::Payload first = host.sent().front().frame;
+
+  // A new view gets its own frame, carrying the new view number, and keeps
+  // resending it.
+  host.fd().restart(
+      MembershipView::make(
+          2, {member(5), member(4), member(3), member(2), member(1)}),
+      util::Rng(7));
+  host.clear_sent();
+  sim.run_until(8 * period);
+  ASSERT_GE(host.sent().size(), 6u);
+  const net::Payload second = host.sent().front().frame;
+  EXPECT_NE(second.identity(), first.identity());
+  for (const SentFrame& f : host.sent())
+    EXPECT_EQ(f.frame.identity(), second.identity());
+  const auto hb = heartbeat_in(second);
+  ASSERT_TRUE(hb.has_value());
+  EXPECT_EQ(hb->view, 2u);
+
+  // The detector holds the only other reference, and stop() drops it.
+  host.clear_sent();
+  EXPECT_FALSE(second.unique());
+  host.fd().stop();
+  EXPECT_TRUE(second.unique());
 }
 
 TEST(RingFd, BiRingPairSendsOneFramePerPeriod) {
@@ -429,7 +474,6 @@ TEST(RingFd, OnHeartbeatConsumesOnlyMonitoredPeersInItsView) {
   StandaloneFd host(sim, FdKind::kBidirectionalRing, 5, 3);
   Heartbeat hb{};
   hb.view = 1;
-  hb.seq = 1;
   EXPECT_TRUE(host.fd().on_heartbeat(member(2).ip, hb));   // right neighbour
   EXPECT_TRUE(host.fd().on_heartbeat(member(4).ip, hb));   // left neighbour
   EXPECT_FALSE(host.fd().on_heartbeat(member(5).ip, hb));  // member, not
@@ -448,7 +492,7 @@ TEST(RingFd, OnHeartbeatConsumesOnlyMonitoredPeersInItsView) {
 
 // Re-targeting a running detector at a new view must be indistinguishable
 // from replacing it with a newly built one: same sends, at the same times,
-// with the same bytes (heartbeat and poll sequence numbers, ping nonces).
+// with the same bytes (view numbers, poll sequence numbers, ping nonces).
 class FdRestart : public ::testing::TestWithParam<FdKind> {};
 
 TEST_P(FdRestart, MatchesAFreshlyBuiltDetector) {
@@ -513,7 +557,6 @@ class FdDeadlineTable : public ::testing::TestWithParam<DeadlineCase> {
   static Heartbeat heartbeat(std::uint64_t view) {
     Heartbeat hb{};
     hb.view = view;
-    hb.seq = 1;
     return hb;
   }
   // Delivers one heartbeat in `view` from each of `hosts`; each must be
@@ -644,7 +687,7 @@ TEST(FdConsensus, ReporterRequirements) {
     ctx.sim = &sim;
     ctx.params = &p;
     ctx.self = member(1).ip;
-    ctx.send = [](util::IpAddress, net::Payload) {};
+    ctx.send = [](util::IpAddress, net::Payload) { return true; };
     ctx.suspect = [](util::IpAddress) {};
     return make_failure_detector(kind, std::move(ctx));
   };

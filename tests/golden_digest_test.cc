@@ -6,7 +6,19 @@
 // behaviour unchanged must leave these constants unchanged too. A change
 // that alters behaviour on purpose re-records them and says why.
 //
-// Last re-recorded when committed members left the beacon group: a
+// Last re-recorded when the heartbeat lost its unused per-period `seq` and
+// became {view} only, so a detector frames it once per view: a heartbeat
+// frame is 24 bytes instead of 32. Only OceanoDiscoveryFailureRecovery
+// moved, and only through byte counters. Its 1 844 records are the same
+// records in the same order; the only fields that differ are the `b` (bytes
+// sent) of the health sampler's "wire" records, and in the Prometheus
+// exposition only gs_wire_bytes_sent, each lower by 8 bytes per heartbeat
+// sent. The other two scenarios run with the sampler off and export no byte
+// counter, so their digests are unchanged. A throwaway build that kept
+// `seq` on the wire and always sent 0 (same bytes as before) passed all
+// three pins unchanged.
+//
+// The time before that, committed members left the beacon group: a
 // multicast now reaches only adapters that beacon, wait for a leader or
 // lead, and skips every other member before its latency, δ and corruption
 // draws (EXPERIMENTS.md, E23). Each pin was attributed with throwaway
@@ -95,9 +107,9 @@ TEST(GoldenDigest, OceanoDiscoveryFailureRecovery) {
   const std::uint64_t prometheus_digest = fnv1a(kFnvBasis, prometheus);
 
   EXPECT_EQ(records, 1844u);
-  EXPECT_EQ(hex(trace_digest), "0xfecbe6a7264c3af8")
+  EXPECT_EQ(hex(trace_digest), "0x136f9464c99d7169")
       << "JSONL trace stream changed";
-  EXPECT_EQ(hex(prometheus_digest), "0x01e282cd4673608a")
+  EXPECT_EQ(hex(prometheus_digest), "0x2afb251fe6f3b3eb")
       << "Prometheus exposition changed";
 }
 

@@ -5,11 +5,10 @@
 // sequence number is a monotonic push counter, so same-timestamp events pop
 // FIFO in scheduling order. The differential tests in tests/sim_test.cc
 // drive this heap and the wheel with identical operation streams and demand
-// pop-for-pop equality; bench/event_core measures the wheel's speedup
-// against it on the heartbeat re-arm pattern. It lives with the tests, in
-// the test-only gs_heap_ref library, so the shipped simulator never
-// compiles it; it exists so the wheel's claim of byte-identical traces is
-// checkable forever, not just on the change that introduced it.
+// pop-for-pop equality. It lives with the tests, in the test-only
+// gs_heap_ref library, so the shipped simulator never compiles it; it
+// exists so the wheel's claim of byte-identical traces is checkable
+// forever, not just on the change that introduced it.
 //
 // Cancellation here is lazy, unlike the wheel's (which unlinks the node):
 //  * callback slots are generation-tagged and recycled through a free list,

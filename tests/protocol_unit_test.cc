@@ -238,7 +238,6 @@ TEST_F(ProtocolUnit, ImplicitCommitViaGroupTraffic) {
   // The Commit was lost, but a view-7 heartbeat proves it happened.
   Heartbeat hb{};
   hb.view = 7;
-  hb.seq = 1;
   inject(ip(9), hb);
   EXPECT_TRUE(proto_->is_committed());
   EXPECT_EQ(proto_->committed().view(), 7u);
@@ -330,7 +329,6 @@ TEST_F(ProtocolUnit, UnsortedOrDuplicatedListsInstallTheNormalizedView) {
       if (path == Path::kImplicit) {
         Heartbeat hb{};
         hb.view = 7;
-        hb.seq = 1;
         inject(ip(7), hb);
       } else {
         Commit commit{};
@@ -738,7 +736,6 @@ TEST_F(ProtocolUnit, StaleNoticeMapPrunedWhenPeerJoins) {
   // A stale ex-member heartbeats us: one notice, one rate-limit entry.
   Heartbeat hb{};
   hb.view = proto_->committed().view();
-  hb.seq = 1;
   inject(ip(7), hb);
   EXPECT_NE(find_sent(MsgType::kStaleNotice, ip(7)), nullptr);
   ASSERT_EQ(proto_->stale_notice_entries(), 1u);
@@ -772,8 +769,7 @@ TEST_F(ProtocolUnit, HeartbeatFromMonitoredNeighbourRearmsItsDeadline) {
   // neighbour's expires.
   Heartbeat hb{};
   hb.view = 7;
-  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
-    hb.seq = seq;
+  for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(inject(ip(7), hb), HandleResult::kHandled);
     sim_.run_until(sim_.now() + params_.hb_period);
   }
@@ -790,7 +786,6 @@ TEST_F(ProtocolUnit, HeartbeatFromCommittedNonNeighbourIsHandledQuietly) {
   join_ring_as_member();
   Heartbeat hb{};
   hb.view = 7;
-  hb.seq = 1;
   EXPECT_EQ(inject(ip(9), hb), HandleResult::kHandled);
   // A stale view from a committed member is not a stale member either.
   hb.view = 6;
@@ -805,8 +800,7 @@ TEST_F(ProtocolUnit, HeartbeatFromNonMemberGetsOneStaleNoticePerWindow) {
   sim_.run_until(sim_.now() + sim::milliseconds(10));  // now() != 0
   Heartbeat hb{};
   hb.view = 7;  // equal views count as stale (different incarnations)
-  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-    hb.seq = seq;
+  for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(inject(ip(8), hb), HandleResult::kHandled);
   }
   ASSERT_EQ(count_sent(MsgType::kStaleNotice), 1u);
