@@ -151,6 +151,7 @@ void Farm::finish_node(std::size_t index, NodeRole role, util::DomainId domain,
   opts.central = centrals_.back().get();
   opts.root_central = root_centrals_.back().get();
   opts.uplink_adapter_index = hier.uplink_adapter;
+  opts.heartbeat_frames = &heartbeat_frames_;
   daemons_.push_back(std::make_unique<proto::GsDaemon>(std::move(opts)));
 
   if (hier.uplink_adapter) {

@@ -47,6 +47,10 @@ class Farm {
   [[nodiscard]] net::SwitchConsole& console() { return *console_; }
   [[nodiscard]] const FarmSpec& spec() const { return spec_; }
   [[nodiscard]] const proto::Params& params() const { return params_; }
+  // The heartbeat frame table every daemon's detectors share.
+  [[nodiscard]] const proto::HeartbeatFrames& heartbeat_frames() const {
+    return heartbeat_frames_;
+  }
 
   // --- Nodes ------------------------------------------------------------------
   [[nodiscard]] std::size_t node_count() const { return daemons_.size(); }
@@ -184,6 +188,10 @@ class Farm {
   util::StatsRegistry metrics_;
   std::unique_ptr<obs::SpanTracker> spans_;
   std::unique_ptr<obs::FarmHealthSampler> health_;
+
+  // Every daemon's detectors take their heartbeat frames from this one
+  // table (declared before the daemons, so it outlives them).
+  proto::HeartbeatFrames heartbeat_frames_;
 
   std::vector<NodeInfo> nodes_;
   // Per-node sim-backend transports; destroyed after the daemons that

@@ -41,6 +41,7 @@ std::size_t RealFarm::add_node(NodeSpec spec) {
   dopts.node.central_eligible = spec.central_eligible;
   dopts.node.admin_adapter_index = 0;
   dopts.rng = rng_.fork(0x4EA0000U + daemons_.size());
+  dopts.heartbeat_frames = &heartbeat_frames_;
   if (spec.central_eligible) {
     // No configuration database or switch console on a real deployment yet:
     // this Central aggregates reports and commits failures, which is all

@@ -98,6 +98,8 @@ class RealFarm {
   net::UdpPortMap map_;
   util::Rng rng_;
 
+  // Shared by every daemon's detectors; outlives the daemons.
+  proto::HeartbeatFrames heartbeat_frames_;
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<proto::GsDaemon>> daemons_;
   bool started_ = false;

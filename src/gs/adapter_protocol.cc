@@ -26,11 +26,13 @@ std::string_view to_string(AdapterState s) {
 }
 
 AdapterProtocol::AdapterProtocol(sim::TimeSource& clock, const Params& params,
+                                 HeartbeatFrames& heartbeat_frames,
                                  MemberInfo self, NetIface net, Hooks hooks,
                                  util::Rng rng)
     : sim_(clock),
       net_(std::move(net)),
       params_(params),
+      heartbeat_frames_(heartbeat_frames),
       self_(self),
       hooks_(std::move(hooks)),
       rng_(rng) {}
@@ -987,6 +989,7 @@ void AdapterProtocol::start_fd() {
   ctx.loopback_ok = net_.loopback_ok;
   ctx.rng = rng;
   ctx.encode_scratch = &scratch_;
+  ctx.heartbeat_frames = &heartbeat_frames_;
   fd_ = make_failure_detector(params_.fd_kind, std::move(ctx));
   fd_->start(committed_);
 }

@@ -131,8 +131,11 @@ class AdapterProtocol : private AdapterProtocolHot {
     std::function<void()> on_reset;
   };
 
+  // `heartbeat_frames` is borrowed (the daemon's, shared farm-wide) and
+  // must outlive the protocol's detectors.
   AdapterProtocol(sim::TimeSource& clock, const Params& params,
-                  MemberInfo self, NetIface net, Hooks hooks, util::Rng rng);
+                  HeartbeatFrames& heartbeat_frames, MemberInfo self,
+                  NetIface net, Hooks hooks, util::Rng rng);
 
   AdapterProtocol(const AdapterProtocol&) = delete;
   AdapterProtocol& operator=(const AdapterProtocol&) = delete;
@@ -264,12 +267,13 @@ class AdapterProtocol : private AdapterProtocolHot {
   // framed() reuses the scratch for every frame this adapter (and its
   // failure detector) encodes; it grows to the largest frame and stays
   // there. A heartbeat period reads neither it nor net_: the detector
-  // resends a frame built once per view through its own copy of
-  // net_.unicast.
+  // resends its view number's frame from heartbeat_frames_ through its own
+  // copy of net_.unicast.
   wire::Writer scratch_;
   sim::TimeSource& sim_;
   NetIface net_;
   const Params& params_;
+  HeartbeatFrames& heartbeat_frames_;
   MemberInfo self_;
   Hooks hooks_;
   util::Rng rng_;

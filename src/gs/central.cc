@@ -568,21 +568,22 @@ void Central::correlate_failure(util::IpAddress ip) {
   // future-work path).
   const auto wired = wired_switch_of(ip);
   if (wired && !switches_down_.count(*wired)) {
-    bool all_failed = true;
-    std::size_t seen = 0;
-    for (util::IpAddress peer : ips_wired_to(*wired)) {
-      auto status = adapters_.find(peer);
-      if (status == adapters_.end()) {
-        all_failed = false;  // never observed: cannot conclude
-        break;
-      }
-      ++seen;
-      if (status->second.alive) {
-        all_failed = false;
-        break;
-      }
+    // The switch is down when every IP wired to it, per the database or
+    // the SNMP walk, is known and dead. An IP both sources list is counted
+    // twice in both tallies, so the verdict needs no deduplication.
+    std::size_t wired_ips = 0, known_dead = 0;
+    const auto tally = [&](util::IpAddress peer) {
+      ++wired_ips;
+      const auto status = adapters_.find(peer);
+      if (status != adapters_.end() && !status->second.alive) ++known_dead;
+    };
+    if (db_) {
+      for (const config::AdapterRecord& rec : db_->adapters_on_switch(*wired))
+        tally(rec.ip);
     }
-    if (all_failed && seen > 0) {
+    for (const auto& [peer, wiring] : snmp_wiring_)
+      if (wiring.wired_switch == *wired) tally(peer);
+    if (wired_ips > 0 && known_dead == wired_ips) {
       switches_down_.insert(*wired);
       FarmEvent event{};
       event.kind = FarmEvent::Kind::kSwitchFailed;
@@ -601,17 +602,6 @@ std::optional<util::SwitchId> Central::wired_switch_of(
   auto it = snmp_wiring_.find(ip);
   if (it != snmp_wiring_.end()) return it->second.wired_switch;
   return std::nullopt;
-}
-
-std::vector<util::IpAddress> Central::ips_wired_to(util::SwitchId sw) const {
-  std::set<util::IpAddress> out;
-  if (db_) {
-    for (const config::AdapterRecord& rec : db_->adapters_on_switch(sw))
-      out.insert(rec.ip);
-  }
-  for (const auto& [ip, wiring] : snmp_wiring_)
-    if (wiring.wired_switch == sw) out.insert(ip);
-  return {out.begin(), out.end()};
 }
 
 void Central::correlate_recovery(util::IpAddress ip) {

@@ -255,8 +255,6 @@ class Central {
                   util::VlanId discovered_on);
   [[nodiscard]] std::optional<util::SwitchId> wired_switch_of(
       util::IpAddress ip) const;
-  [[nodiscard]] std::vector<util::IpAddress> ips_wired_to(
-      util::SwitchId sw) const;
 
   sim::Timer stability_timer_;
   sim::Timer lease_timer_;

@@ -35,15 +35,45 @@
 
 namespace gs::proto {
 
+// The framed Heartbeat{view} of each view number in use, one payload per
+// number for a whole deployment. A Heartbeat carries nothing but its view
+// number, so every detector on that number sends the same bytes: sharing
+// one payload means the number is encoded, CRC'd, verified and decoded once
+// per farm, and every receiver reads the same rep. The farm owns one table
+// and hands it to every daemon; it is not shared across farms, so, like the
+// payloads it holds, it stays on the farm's thread.
+class HeartbeatFrames {
+ public:
+  // The frame for `view`, framed on a miss. A miss also drops every entry
+  // no detector holds any more, so the table tracks the view numbers in
+  // use without a size bound of its own.
+  [[nodiscard]] net::Payload frame(std::uint64_t view);
+
+  // Entries some holder besides the table still references (tests).
+  [[nodiscard]] std::size_t live() const;
+
+ private:
+  struct Entry {
+    std::uint64_t view;
+    net::Payload frame;
+  };
+
+  std::vector<Entry> entries_;  // ascending view
+  wire::Writer scratch_;
+};
+
 // The pointer members lead: a heartbeat send or arrival reads them, and
 // they would otherwise sit behind the three std::functions.
 struct FdContext {
   sim::TimeSource* sim = nullptr;
   const Params* params = nullptr;
-  // Shared encode scratch (the owning AdapterProtocol's), used once per
-  // view for the heartbeat frame and per poll or ping; optional — tests
-  // that drive a detector standalone may leave it null.
+  // Shared encode scratch (the owning AdapterProtocol's), used per poll or
+  // ping; optional — tests that drive a detector standalone may leave it
+  // null.
   wire::Writer* encode_scratch = nullptr;
+  // Where heartbeat detectors take their view's frame from; required by
+  // every kind but random pinging. Read once per start().
+  HeartbeatFrames* heartbeat_frames = nullptr;
   util::IpAddress self;
   // Unicast a complete frame to a member of the group: the daemon's own
   // unicast hook (AdapterProtocol::NetIface::unicast), so a detector's send

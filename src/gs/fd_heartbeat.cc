@@ -10,6 +10,7 @@ namespace gs::proto {
 HeartbeatFd::HeartbeatFd(FdKind kind, FdContext ctx)
     : ctx_(std::move(ctx)), kind_(kind) {
   GS_CHECK(kind_ != FdKind::kRandomPing);
+  GS_CHECK(ctx_.heartbeat_frames != nullptr);
 }
 
 std::vector<std::size_t> HeartbeatFd::subgroup_of(std::size_t rank,
@@ -107,7 +108,7 @@ void HeartbeatFd::start(const MembershipView& view) {
   running_ = true;
   compute_peers();
   if (targets_.empty() && monitored_.empty() && chunks_.empty()) return;
-  if (!targets_.empty()) frame_ = ctx_.framed(Heartbeat{view_.view()});
+  if (!targets_.empty()) frame_ = ctx_.heartbeat_frames->frame(view_.view());
 
   // Stagger the first heartbeat so group members do not synchronize.
   const auto period = ctx_.params->hb_period;

@@ -23,9 +23,11 @@ struct HeartbeatFdHot {
   };
 
   bool running_ = false;
-  // The view's heartbeat, framed once by start(): every period resends
-  // these bytes, so encode, CRC and the receivers' verify and decode (the
-  // payload's cache) happen once per view. Released by stop_all().
+  // The view's heartbeat, taken by start() from the farm's HeartbeatFrames:
+  // every period resends these bytes, and every detector on the same view
+  // number holds the same payload, so encode, CRC and the receivers' verify
+  // and decode (the payload's cache) happen once per view number per farm.
+  // Released by stop_all().
   net::Payload frame_;
   MembershipView view_;
   std::vector<util::IpAddress> targets_;  // peers we heartbeat

@@ -83,40 +83,55 @@ SpanTracker::SpanTracker(TraceBus& bus, util::StatsRegistry* registry)
 }
 
 util::Counter& SpanTracker::span_counter(SpanKind kind,
-                                         std::string_view outcome) {
-  std::string name = "span.";
-  name += to_string(kind);
-  name += '.';
-  name += outcome;
-  return registry_->counter(name);
+                                         std::size_t outcome) {
+  util::Counter*& counter = counters_[idx(kind)][outcome];
+  if (counter == nullptr) {
+    std::string name = "span.";
+    name += to_string(kind);
+    switch (outcome) {
+      case kOpened: name += ".opened"; break;
+      case kClosed: name += ".closed"; break;
+      case kUnmatchedClose: name += ".unmatched_close"; break;
+      default:
+        name += ".abandoned.";
+        name += to_string(static_cast<AbandonCause>(outcome - kAbandoned));
+    }
+    counter = &registry_->counter(name);
+  }
+  return *counter;
+}
+
+util::Histogram& SpanTracker::span_histogram(SpanKind kind) {
+  util::Histogram*& histogram = histograms_[idx(kind)];
+  if (histogram == nullptr)
+    histogram = &registry_->histogram(histogram_name(kind));
+  return *histogram;
 }
 
 void SpanTracker::open(SpanKind kind) {
   ++opened_[idx(kind)];
   ++open_now_[idx(kind)];
   watermark_ = std::max(watermark_, open_total());
-  span_counter(kind, "opened").add();
+  span_counter(kind, kOpened).add();
 }
 
 void SpanTracker::close(SpanKind kind, sim::SimTime opened_at,
                         sim::SimTime now) {
   ++closed_[idx(kind)];
   --open_now_[idx(kind)];
-  span_counter(kind, "closed").add();
-  registry_->histogram(histogram_name(kind)).record(now - opened_at);
+  span_counter(kind, kClosed).add();
+  span_histogram(kind).record(now - opened_at);
 }
 
 void SpanTracker::abandon(SpanKind kind, AbandonCause cause) {
   ++abandoned_[idx(kind)][idx(cause)];
   --open_now_[idx(kind)];
-  std::string outcome = "abandoned.";
-  outcome += to_string(cause);
-  span_counter(kind, outcome).add();
+  span_counter(kind, kAbandoned + idx(cause)).add();
 }
 
 void SpanTracker::unmatched(SpanKind kind) {
   ++unmatched_[idx(kind)];
-  span_counter(kind, "unmatched_close").add();
+  span_counter(kind, kUnmatchedClose).add();
 }
 
 std::uint64_t SpanTracker::open_count(SpanKind kind) const {
@@ -210,10 +225,12 @@ void SpanTracker::on_record(const TraceRecord& record) {
         // Central already holds the victim dead: committing this fault
         // would be a no-op there, so there is nothing to time.
         ++opened_[idx(SpanKind::kDetection)];
-        span_counter(SpanKind::kDetection, "opened").add();
+        span_counter(SpanKind::kDetection, kOpened).add();
         ++abandoned_[idx(SpanKind::kDetection)]
                     [idx(AbandonCause::kAlreadyDead)];
-        span_counter(SpanKind::kDetection, "abandoned.already_dead").add();
+        span_counter(SpanKind::kDetection,
+                     kAbandoned + idx(AbandonCause::kAlreadyDead))
+            .add();
       } else {
         open(SpanKind::kDetection);
         t.fault_at = now;

@@ -75,7 +75,8 @@ class SpanTracker {
   // Latencies and outcome counters land in `registry` (histograms named
   // span.<kind>_us, counters span.<kind>.{opened,closed,abandoned.<cause>,
   // unmatched_close}); when null the tracker owns a private registry,
-  // reachable through stats().
+  // reachable through stats(). The tracker keeps pointers to the series it
+  // has touched, so `registry` must not be reset() while it is attached.
   explicit SpanTracker(TraceBus& bus, util::StatsRegistry* registry = nullptr);
 
   struct OpenSpan {
@@ -123,12 +124,26 @@ class SpanTracker {
     bool declared = false;          // Central already inferred node death
   };
 
+  static constexpr std::size_t kKinds =
+      static_cast<std::size_t>(SpanKind::kCount_);
+  static constexpr std::size_t kCauses =
+      static_cast<std::size_t>(AbandonCause::kCount_);
+  // One kind's outcome counters: span.<kind>.{opened,closed,
+  // unmatched_close}, then span.<kind>.abandoned.<cause> at kAbandoned +
+  // the cause.
+  enum Outcome : std::size_t { kOpened, kClosed, kUnmatchedClose, kAbandoned };
+  static constexpr std::size_t kOutcomes = kAbandoned + kCauses;
+
   void on_record(const TraceRecord& record);
   void open(SpanKind kind);
   void close(SpanKind kind, sim::SimTime opened_at, sim::SimTime now);
   void abandon(SpanKind kind, AbandonCause cause);
   void unmatched(SpanKind kind);
-  util::Counter& span_counter(SpanKind kind, std::string_view outcome);
+  // The series behind each edge, looked up by name on first use only: the
+  // registry gains a series exactly when a by-name lookup on every edge
+  // would have added it. The registry's maps keep the addresses stable.
+  util::Counter& span_counter(SpanKind kind, std::size_t outcome);
+  util::Histogram& span_histogram(SpanKind kind);
 
   util::StatsRegistry own_registry_;
   util::StatsRegistry* registry_;
@@ -143,13 +158,13 @@ class SpanTracker {
   util::IpAddress failed_gsc_;
   util::IpAddress active_gsc_;
 
-  std::uint64_t opened_[static_cast<std::size_t>(SpanKind::kCount_)] = {};
-  std::uint64_t closed_[static_cast<std::size_t>(SpanKind::kCount_)] = {};
-  std::uint64_t unmatched_[static_cast<std::size_t>(SpanKind::kCount_)] = {};
-  std::uint64_t open_now_[static_cast<std::size_t>(SpanKind::kCount_)] = {};
-  std::uint64_t abandoned_[static_cast<std::size_t>(SpanKind::kCount_)]
-                          [static_cast<std::size_t>(AbandonCause::kCount_)] =
-                              {};
+  std::uint64_t opened_[kKinds] = {};
+  std::uint64_t closed_[kKinds] = {};
+  std::uint64_t unmatched_[kKinds] = {};
+  std::uint64_t open_now_[kKinds] = {};
+  std::uint64_t abandoned_[kKinds][kCauses] = {};
+  util::Counter* counters_[kKinds][kOutcomes] = {};
+  util::Histogram* histograms_[kKinds] = {};
   std::uint64_t watermark_ = 0;
 
   Subscription subscription_;

@@ -259,10 +259,11 @@ TEST_F(CorruptionTest, MulticastCorruptionIsolatesVictimsFromSharedPayload) {
 }
 
 // A bi-ring heartbeating across a corrupting segment. Every detector resends
-// one cached payload each period; a corrupted delivery rides its own copy,
-// so only that delivery is dropped (by the envelope, never the decoder), the
-// sender's frame keeps verifying, and every clean delivery still re-arms the
-// receiver's deadline for its neighbour.
+// one cached payload each period, and all four share it (one view number,
+// one table); a corrupted delivery rides its own copy, so only that delivery
+// is dropped (by the envelope, never the decoder), the shared frame keeps
+// verifying, and every clean delivery still re-arms the receiver's deadline
+// for its neighbour.
 TEST_F(CorruptionTest, CachedHeartbeatFrameSurvivesCorruptedDeliveries) {
   constexpr std::uint8_t kHosts = 4;
   const proto::Params params;
@@ -275,6 +276,7 @@ TEST_F(CorruptionTest, CachedHeartbeatFrameSurvivesCorruptedDeliveries) {
   }
   const auto view = proto::MembershipView::make(1, members);
 
+  proto::HeartbeatFrames frames;
   std::map<util::IpAddress, std::unique_ptr<proto::FailureDetector>> fds;
   std::map<util::IpAddress, net::Payload> last_sent;
   std::uint64_t sends = 0, clean = 0, rearmed = 0, decode_failures = 0;
@@ -284,6 +286,7 @@ TEST_F(CorruptionTest, CachedHeartbeatFrameSurvivesCorruptedDeliveries) {
     proto::FdContext ctx;
     ctx.sim = &sim_;
     ctx.params = &params;
+    ctx.heartbeat_frames = &frames;
     ctx.self = m.ip;
     ctx.rng = util::Rng(m.ip.bits());
     ctx.send = [&, id, self = m.ip](util::IpAddress to, net::Payload frame) {
@@ -333,7 +336,9 @@ TEST_F(CorruptionTest, CachedHeartbeatFrameSurvivesCorruptedDeliveries) {
   EXPECT_EQ(rearmed, clean);
 
   ASSERT_EQ(last_sent.size(), std::size_t{kHosts});
+  EXPECT_EQ(frames.live(), 1u);
   for (const auto& [ip, frame] : last_sent) {
+    EXPECT_EQ(frame.identity(), last_sent.begin()->second.identity()) << ip;
     ASSERT_TRUE(frame.verified().ok()) << ip;
     const proto::FrameRef ref(frame.frame_payload(), &frame);
     std::optional<proto::Heartbeat> scratch;

@@ -44,6 +44,7 @@ class FdHarness {
       FdContext ctx;
       ctx.sim = &sim_;
       ctx.params = &params_;
+      ctx.heartbeat_frames = &frames_;
       ctx.self = m.ip;
       ctx.rng = util::Rng(m.ip.bits());
       ctx.send = [this, self = m.ip](util::IpAddress to,
@@ -181,6 +182,7 @@ class FdHarness {
   sim::Simulator& sim_;
   Params params_;
   MembershipView view_;
+  HeartbeatFrames frames_;
   std::map<util::IpAddress, Endpoint> endpoints_;
   std::vector<std::pair<util::IpAddress, util::IpAddress>> suspicions_;
   std::uint64_t frames_sent_ = 0;
@@ -329,7 +331,8 @@ TEST(RingFd, SingletonIsQuiet) {
 }
 
 // One detector on its own, every outgoing frame captured with its send time
-// (no router, so the payload objects themselves are observable).
+// (no router, so the payload objects themselves are observable). It frames
+// heartbeats through its own table unless given one to share.
 struct SentFrame {
   sim::SimTime at;
   util::IpAddress to;
@@ -338,8 +341,12 @@ struct SentFrame {
 
 class StandaloneFd {
  public:
-  StandaloneFd(sim::Simulator& sim, FdKind kind, int n, std::uint8_t self)
-      : sim_(sim), params_(fd_params()), self_(member(self).ip) {
+  StandaloneFd(sim::Simulator& sim, FdKind kind, int n, std::uint8_t self,
+               HeartbeatFrames* frames = nullptr)
+      : sim_(sim),
+        params_(fd_params()),
+        self_(member(self).ip),
+        frames_(frames != nullptr ? *frames : own_frames_) {
     std::vector<MemberInfo> members;
     for (int i = 1; i <= n; ++i)
       members.push_back(member(static_cast<std::uint8_t>(i)));
@@ -362,6 +369,7 @@ class StandaloneFd {
       suspected_.emplace_back(sim_.now(), ip);
     };
     ctx.encode_scratch = &scratch_;
+    ctx.heartbeat_frames = &frames_;
     fd_.reset();
     fd_ = make_failure_detector(kind, std::move(ctx));
     fd_->start(view);
@@ -369,6 +377,7 @@ class StandaloneFd {
 
   [[nodiscard]] FailureDetector& fd() { return *fd_; }
   [[nodiscard]] const Params& params() const { return params_; }
+  [[nodiscard]] const HeartbeatFrames& frames() const { return frames_; }
   [[nodiscard]] const std::vector<SentFrame>& sent() const { return sent_; }
   void clear_sent() { sent_.clear(); }
   // Every suspicion raised, with the time it was raised.
@@ -383,6 +392,8 @@ class StandaloneFd {
   util::IpAddress self_;
   MembershipView view_;
   wire::Writer scratch_;
+  HeartbeatFrames own_frames_;
+  HeartbeatFrames& frames_;
   std::vector<SentFrame> sent_;
   std::vector<std::pair<sim::SimTime, util::IpAddress>> suspected_;
   std::unique_ptr<FailureDetector> fd_;
@@ -434,7 +445,7 @@ TEST(RingFd, RestartFramesTheNewViewAndStopReleasesIt) {
   const sim::SimDuration period = host.params().hb_period;
   sim.run_until(4 * period);
   ASSERT_FALSE(host.sent().empty());
-  const net::Payload first = host.sent().front().frame;
+  net::Payload first = host.sent().front().frame;
 
   // A new view gets its own frame, carrying the new view number, and keeps
   // resending it.
@@ -445,7 +456,7 @@ TEST(RingFd, RestartFramesTheNewViewAndStopReleasesIt) {
   host.clear_sent();
   sim.run_until(8 * period);
   ASSERT_GE(host.sent().size(), 6u);
-  const net::Payload second = host.sent().front().frame;
+  net::Payload second = host.sent().front().frame;
   EXPECT_NE(second.identity(), first.identity());
   for (const SentFrame& f : host.sent())
     EXPECT_EQ(f.frame.identity(), second.identity());
@@ -453,11 +464,44 @@ TEST(RingFd, RestartFramesTheNewViewAndStopReleasesIt) {
   ASSERT_TRUE(hb.has_value());
   EXPECT_EQ(hb->view, 2u);
 
-  // The detector holds the only other reference, and stop() drops it.
+  // Past the table and this test's copies, the detector holds the view-2
+  // frame (and no longer view 1's), and stop() drops it.
   host.clear_sent();
-  EXPECT_FALSE(second.unique());
+  first = {};
+  second = {};
+  EXPECT_EQ(host.frames().live(), 1u);
   host.fd().stop();
-  EXPECT_TRUE(second.unique());
+  EXPECT_EQ(host.frames().live(), 0u);
+}
+
+TEST(RingFd, DetectorsOnOneViewNumberShareItsFrameAcrossGroups) {
+  sim::Simulator sim;
+  HeartbeatFrames frames;
+  // Two AMGs with no member in common, both on view 1, and a third
+  // detector of the first AMG's membership on view 2.
+  StandaloneFd a(sim, FdKind::kBidirectionalRing, 5, 3, &frames);
+  StandaloneFd b(sim, FdKind::kUnidirectionalRing, 23, 23, &frames);
+  b.rebuild(FdKind::kUnidirectionalRing,
+            MembershipView::make(1, {member(23), member(22), member(21)}),
+            util::Rng(23));
+  StandaloneFd c(sim, FdKind::kBidirectionalRing, 5, 3, &frames);
+  c.rebuild(FdKind::kBidirectionalRing,
+            MembershipView::make(
+                2, {member(5), member(4), member(3), member(2), member(1)}),
+            util::Rng(3));
+  sim.run_until(4 * a.params().hb_period);
+  ASSERT_FALSE(a.sent().empty());
+  ASSERT_FALSE(b.sent().empty());
+  ASSERT_FALSE(c.sent().empty());
+  for (const StandaloneFd* host : {&a, &b, &c})
+    for (const SentFrame& f : host->sent())
+      EXPECT_EQ(f.frame.identity(), host->sent().front().frame.identity());
+  EXPECT_EQ(a.sent().front().frame.identity(),
+            b.sent().front().frame.identity());
+  EXPECT_NE(a.sent().front().frame.identity(),
+            c.sent().front().frame.identity());
+  EXPECT_EQ(heartbeat_in(c.sent().front().frame)->view, 2u);
+  EXPECT_EQ(frames.live(), 2u);
 }
 
 TEST(RingFd, BiRingPairSendsOneFramePerPeriod) {
@@ -682,10 +726,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FdConsensus, ReporterRequirements) {
   sim::Simulator sim;
   Params p = fd_params();
+  HeartbeatFrames frames;
   auto make = [&](FdKind kind) {
     FdContext ctx;
     ctx.sim = &sim;
     ctx.params = &p;
+    ctx.heartbeat_frames = &frames;
     ctx.self = member(1).ip;
     ctx.send = [](util::IpAddress, net::Payload) { return true; };
     ctx.suspect = [](util::IpAddress) {};

@@ -62,6 +62,31 @@ class HierFarmTest : public ::testing::Test {
   std::optional<farm::Farm> farm_;
 };
 
+// Every detector takes its heartbeat from the farm's one table, so once the
+// farm settles the frames somebody besides the table holds are exactly one
+// per view number in use, however many AMGs share that number.
+TEST_F(HierFarmTest, OneLiveHeartbeatFramePerViewNumberInUse) {
+  build(4, 6);
+  // Let heartbeats of any view replaced on the way to convergence drain.
+  sim_.run_until(sim_.now() + sim::seconds(2));
+  ASSERT_TRUE(farm_->converged());
+  std::set<std::uint64_t> views;
+  std::set<util::IpAddress> leaders;
+  for (std::size_t n = 0; n < farm_->node_count(); ++n) {
+    const proto::GsDaemon& daemon = farm_->daemon(n);
+    for (std::size_t i = 0; i < daemon.adapter_count(); ++i) {
+      const proto::AdapterProtocol& p = daemon.protocol(i);
+      // A running detector with a neighbour to heartbeat holds a frame.
+      if (!p.is_committed() || p.committed().size() < 2) continue;
+      views.insert(p.committed().view());
+      leaders.insert(p.leader_ip());
+    }
+  }
+  ASSERT_FALSE(views.empty());
+  EXPECT_LT(views.size(), leaders.size()) << "no two AMGs share a view";
+  EXPECT_EQ(farm_->heartbeat_frames().live(), views.size());
+}
+
 TEST_F(HierFarmTest, DigestsReachRootAndDeriveGroups) {
   build(2, 3);
   ASSERT_TRUE(farm::run_until(sim_, sim_.now() + sim::seconds(60),

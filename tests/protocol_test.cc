@@ -71,7 +71,7 @@ class ProtoHarness {
     };
 
     auto proto = std::make_unique<AdapterProtocol>(
-        sim_, params_, self, std::move(net), std::move(hooks),
+        sim_, params_, frames_, self, std::move(net), std::move(hooks),
         util::Rng(1000 + host));
     AdapterProtocol& ref = *proto;
     protocols_[ip] = std::move(proto);
@@ -137,6 +137,7 @@ class ProtoHarness {
 
   sim::Simulator sim_;
   Params params_;
+  HeartbeatFrames frames_;
   net::Fabric fabric_;
   util::SwitchId sw_;
   std::map<util::IpAddress, std::unique_ptr<AdapterProtocol>> protocols_;

@@ -58,9 +58,9 @@ class ProtocolUnit : public ::testing::Test {
     net.loopback_ok = [] { return true; };
     AdapterProtocol::Hooks hooks;
     hooks.on_report_pending = [this] { report_pending_ = true; };
-    proto_ = std::make_unique<AdapterProtocol>(sim_, params_, member(host),
-                                               std::move(net), std::move(hooks),
-                                               util::Rng(host));
+    proto_ = std::make_unique<AdapterProtocol>(
+        sim_, params_, frames_, member(host), std::move(net), std::move(hooks),
+        util::Rng(host));
   }
 
   void record(util::IpAddress to, const net::Payload& frame) {
@@ -140,6 +140,7 @@ class ProtocolUnit : public ::testing::Test {
 
   sim::Simulator sim_;
   Params params_;
+  HeartbeatFrames frames_;
   std::unique_ptr<AdapterProtocol> proto_;
   std::vector<SentFrame> sent_;
   bool report_pending_ = false;
