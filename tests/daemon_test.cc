@@ -237,6 +237,7 @@ TEST(DaemonTeardownTest, PendingDispatchesNeverRunAfterDestruction) {
   fabric.set_processing_delay(params.proc_delay_mean);
   const util::SwitchId sw = fabric.add_switch(8);
   std::vector<util::AdapterId> ids;
+  HeartbeatFrames frames;
   std::vector<std::unique_ptr<net::FabricTransport>> transports;
   std::vector<std::unique_ptr<GsDaemon>> daemons;
   for (std::uint32_t n = 0; n < 3; ++n) {
@@ -254,6 +255,7 @@ TEST(DaemonTeardownTest, PendingDispatchesNeverRunAfterDestruction) {
     opts.node.node = util::NodeId(n);
     opts.node.name = "teardown-" + std::to_string(n);
     opts.rng = util::Rng(100 + n);
+    opts.heartbeat_frames = &frames;
     daemons.push_back(std::make_unique<GsDaemon>(std::move(opts)));
   }
   for (auto& daemon : daemons) daemon->start();

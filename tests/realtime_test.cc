@@ -197,6 +197,7 @@ TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
   auto transport_b = std::make_unique<net::UdpTransport>(
       loop, map, std::vector<net::UdpTransport::PortSpec>{loop_port(2)});
 
+  proto::HeartbeatFrames frames;
   auto make_daemon = [&](net::Transport* transport, std::uint32_t id) {
     proto::GsDaemon::Options opts;
     opts.clock = &clock;
@@ -205,6 +206,7 @@ TEST(ShutdownOrderingTest, DaemonDestroyedWithInFlightTimersNeverFires) {
     opts.node.node = util::NodeId(id);
     opts.node.name = "shutdown-" + std::to_string(id);
     opts.rng = util::Rng(1000 + id);
+    opts.heartbeat_frames = &frames;
     return std::make_unique<proto::GsDaemon>(std::move(opts));
   };
   auto daemon_a = make_daemon(transport_a.get(), 1);

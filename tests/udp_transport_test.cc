@@ -231,6 +231,7 @@ TEST(UdpTransportTest, CorruptFrameIsDroppedAndAccountedByTheDaemon) {
   params.beacon_setup_min = params.beacon_setup_max = 0;
   params.hb_period = sim::seconds(60);
 
+  proto::HeartbeatFrames frames;
   proto::GsDaemon::Options opts;
   opts.clock = &h.clock;
   opts.transport = receiver.get();
@@ -238,6 +239,7 @@ TEST(UdpTransportTest, CorruptFrameIsDroppedAndAccountedByTheDaemon) {
   opts.node.node = util::NodeId(2);
   opts.node.name = "udp-crc";
   opts.rng = util::Rng(7);
+  opts.heartbeat_frames = &frames;
   proto::GsDaemon daemon(std::move(opts));
   daemon.start();
   // No skew: the receive handler installs on the first due-timer pass.
