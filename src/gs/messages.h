@@ -1,9 +1,11 @@
 // GulfStream protocol messages and their wire codecs.
 //
-// Each payload struct has encode() and a static decode(); frames are built
-// with wire::encode_frame(type, payload). Decoders are total: they return
-// nullopt on any malformed input (Reader's sticky error + full-consumption
-// check), never partial structs.
+// Each message is a plain struct carrying its MsgType (kType) and its field
+// list (kFields: member pointers in wire order). One encoder and one decoder
+// template derive every codec from those lists, so a message's layout is
+// written exactly once; see "Codecs" below. Decoders are total: they reject
+// any malformed input (Reader's sticky error + full-consumption check)
+// rather than hand back a partial struct.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,8 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "net/payload.h"
@@ -56,8 +60,13 @@ struct MemberInfo {
   bool central_eligible = false;  // §2.2: flag on administrative beacons
 
   bool operator==(const MemberInfo&) const = default;
+
+  static constexpr auto kFields =
+      std::tuple{&MemberInfo::ip, &MemberInfo::mac, &MemberInfo::node,
+                 &MemberInfo::central_eligible};
 };
 
+// MemberInfo's field codec on its own.
 void encode_member(wire::Writer& w, const MemberInfo& m);
 [[nodiscard]] MemberInfo decode_member(wire::Reader& r);
 
@@ -109,6 +118,10 @@ struct Beacon {
   bool is_leader = false;
   std::uint64_t view = 0;       // committed view, 0 while uncommitted
   std::uint32_t group_size = 0; // committed group size (leaders only)
+
+  static constexpr auto kFields =
+      std::tuple{&Beacon::self, &Beacon::is_leader, &Beacon::view,
+                 &Beacon::group_size};
 };
 
 // A (lower-IP) leader asks a higher-IP leader to absorb its membership.
@@ -116,6 +129,9 @@ struct JoinRequest {
   static constexpr MsgType kType = MsgType::kJoinRequest;
   std::uint64_t view = 0;  // requester's committed view (for view clocks)
   std::vector<MemberInfo> members;
+
+  static constexpr auto kFields =
+      std::tuple{&JoinRequest::view, &JoinRequest::members};
 };
 
 // 2PC phase one: the proposed membership, in rank order (index 0 = leader,
@@ -126,6 +142,9 @@ struct Prepare {
   std::uint64_t view = 0;
   util::IpAddress leader;
   MemberList members;
+
+  static constexpr auto kFields =
+      std::tuple{&Prepare::view, &Prepare::leader, &Prepare::members};
 };
 
 struct PrepareAck {
@@ -133,6 +152,9 @@ struct PrepareAck {
   std::uint64_t view = 0;
   bool ok = true;
   std::uint64_t holder_view = 0;  // on nack: the view the holder is bound to
+
+  static constexpr auto kFields =
+      std::tuple{&PrepareAck::view, &PrepareAck::ok, &PrepareAck::holder_view};
 };
 
 // 2PC phase two. Carries the FINAL membership: participants that never
@@ -144,6 +166,8 @@ struct Commit {
   static constexpr MsgType kType = MsgType::kCommit;
   std::uint64_t view = 0;
   MemberList members;  // rank order, like Prepare
+
+  static constexpr auto kFields = std::tuple{&Commit::view, &Commit::members};
 };
 
 // Ring heartbeat (§3, Figure 4): the sender's committed view and nothing
@@ -152,6 +176,8 @@ struct Commit {
 struct Heartbeat {
   static constexpr MsgType kType = MsgType::kHeartbeat;
   std::uint64_t view = 0;
+
+  static constexpr auto kFields = std::tuple{&Heartbeat::view};
 };
 
 // Member -> leader (or -> successor when the leader itself is suspected).
@@ -159,17 +185,24 @@ struct Suspect {
   static constexpr MsgType kType = MsgType::kSuspect;
   std::uint64_t view = 0;
   util::IpAddress suspect;
+
+  static constexpr auto kFields = std::tuple{&Suspect::view, &Suspect::suspect};
 };
 
 struct SuspectAck {
   static constexpr MsgType kType = MsgType::kSuspectAck;
   std::uint64_t view = 0;
   util::IpAddress suspect;
+
+  static constexpr auto kFields =
+      std::tuple{&SuspectAck::view, &SuspectAck::suspect};
 };
 
 struct Probe {
   static constexpr MsgType kType = MsgType::kProbe;
   std::uint64_t nonce = 0;
+
+  static constexpr auto kFields = std::tuple{&Probe::nonce};
 };
 
 struct ProbeAck {
@@ -180,6 +213,9 @@ struct ProbeAck {
   // restarted (and, say, joined some other group) is alive yet has silently
   // abandoned its old members, and its leadership must be treated as vacant.
   bool leads_prober = false;
+
+  static constexpr auto kFields =
+      std::tuple{&ProbeAck::nonce, &ProbeAck::leads_prober};
 };
 
 // Tells a peer its group state is obsolete (it was removed or its group was
@@ -187,6 +223,8 @@ struct ProbeAck {
 struct StaleNotice {
   static constexpr MsgType kType = MsgType::kStaleNotice;
   std::uint64_t current_view = 0;
+
+  static constexpr auto kFields = std::tuple{&StaleNotice::current_view};
 };
 
 enum class RemoveReason : std::uint8_t { kFailed = 0, kLeft = 1 };
@@ -194,6 +232,9 @@ enum class RemoveReason : std::uint8_t { kFailed = 0, kLeft = 1 };
 struct RemovedMember {
   util::IpAddress ip;
   RemoveReason reason = RemoveReason::kFailed;
+
+  static constexpr auto kFields =
+      std::tuple{&RemovedMember::ip, &RemovedMember::reason};
 };
 
 // AMG leader -> GulfStream Central (§2.2). `full` snapshots establish the
@@ -207,6 +248,11 @@ struct MembershipReport {
   MemberInfo leader;
   std::vector<MemberInfo> added;     // on full: entire membership
   std::vector<RemovedMember> removed;
+
+  static constexpr auto kFields =
+      std::tuple{&MembershipReport::seq, &MembershipReport::view,
+                 &MembershipReport::full, &MembershipReport::leader,
+                 &MembershipReport::added, &MembershipReport::removed};
 };
 
 struct ReportAck {
@@ -216,6 +262,9 @@ struct ReportAck {
                            // node can host several leader adapters, and acks
                            // all arrive on its single administrative adapter
   bool need_full = false;  // GSC lost state (failover) or saw a seq gap
+
+  static constexpr auto kFields =
+      std::tuple{&ReportAck::seq, &ReportAck::leader, &ReportAck::need_full};
 };
 
 // Randomized-ping detector (§4.2): direct ping, ack, and indirect ping
@@ -224,12 +273,16 @@ struct Ping {
   static constexpr MsgType kType = MsgType::kPing;
   std::uint64_t nonce = 0;
   util::IpAddress origin;
+
+  static constexpr auto kFields = std::tuple{&Ping::nonce, &Ping::origin};
 };
 
 struct PingAck {
   static constexpr MsgType kType = MsgType::kPingAck;
   std::uint64_t nonce = 0;
   util::IpAddress target;  // who proved alive
+
+  static constexpr auto kFields = std::tuple{&PingAck::nonce, &PingAck::target};
 };
 
 struct PingReq {
@@ -237,17 +290,24 @@ struct PingReq {
   std::uint64_t nonce = 0;
   util::IpAddress origin;
   util::IpAddress target;
+
+  static constexpr auto kFields =
+      std::tuple{&PingReq::nonce, &PingReq::origin, &PingReq::target};
 };
 
 // Subgroup detector (§4.2): low-frequency leader poll of each subgroup.
 struct SubgroupPoll {
   static constexpr MsgType kType = MsgType::kSubgroupPoll;
   std::uint64_t seq = 0;
+
+  static constexpr auto kFields = std::tuple{&SubgroupPoll::seq};
 };
 
 struct SubgroupPollAck {
   static constexpr MsgType kType = MsgType::kSubgroupPollAck;
   std::uint64_t seq = 0;
+
+  static constexpr auto kFields = std::tuple{&SubgroupPollAck::seq};
 };
 
 // --- Hierarchical Central (domain -> root) ----------------------------------
@@ -261,6 +321,10 @@ struct DomainAdapterEntry {
   bool alive = true;
   util::IpAddress group_leader;  // leader of the AMG this adapter sits in
   std::uint64_t view = 0;        // that group's committed view
+
+  static constexpr auto kFields =
+      std::tuple{&DomainAdapterEntry::info, &DomainAdapterEntry::alive,
+                 &DomainAdapterEntry::group_leader, &DomainAdapterEntry::view};
 };
 
 // Domain Central -> root GSC (two-level hierarchy). Batched: one frame
@@ -277,6 +341,12 @@ struct DomainReport {
   util::IpAddress sender;  // the uplink adapter's IP (ack routing)
   std::vector<DomainAdapterEntry> entries;   // changed (delta) or all (full)
   std::vector<util::IpAddress> removed;      // adapters retired outright
+
+  static constexpr auto kFields =
+      std::tuple{&DomainReport::seq, &DomainReport::epoch,
+                 &DomainReport::domain, &DomainReport::full,
+                 &DomainReport::sender, &DomainReport::entries,
+                 &DomainReport::removed};
 };
 
 struct DomainReportAck {
@@ -284,63 +354,86 @@ struct DomainReportAck {
   std::uint64_t seq = 0;
   std::uint32_t domain = 0;
   bool need_full = false;  // root lost state (failover) or saw a seq gap
+
+  static constexpr auto kFields =
+      std::tuple{&DomainReportAck::seq, &DomainReportAck::domain,
+                 &DomainReportAck::need_full};
 };
+
+// Every message, in MsgType order. It drives the codec instantiations in
+// messages.cc and the tests that run over every message.
+template <typename... Ts>
+struct TypeList {
+  template <typename T>
+  static constexpr bool contains = (std::is_same_v<T, Ts> || ...);
+};
+
+using WireMessages =
+    TypeList<Beacon, JoinRequest, Prepare, PrepareAck, Commit, Heartbeat,
+             Suspect, SuspectAck, Probe, ProbeAck, StaleNotice,
+             MembershipReport, ReportAck, Ping, PingAck, PingReq, SubgroupPoll,
+             SubgroupPollAck, DomainReport, DomainReportAck>;
+
+template <typename T>
+concept WireMessage = WireMessages::contains<T>;
 
 // --- Codecs ----------------------------------------------------------------
 //
-// Each message has four codec entry points:
+// A message's wire layout is its kFields, in order. Each field type has one
+// codec in messages.cc: integers and bools little-endian at their own width,
+// IpAddress and NodeId as u32, MacAddress as u64, RemoveReason as u8 (any
+// other value fails the decode), vectors and MemberList as a u32 count then
+// the elements, and MemberInfo, RemovedMember and DomainAdapterEntry through
+// their own kFields.
+//
+// Two templates derive every payload codec, instantiated in messages.cc for
+// each type in WireMessages:
 //   encode_into(Writer&, msg)  — append the payload to a (scratch) Writer
-//   encode(msg)                — convenience: fresh Writer, returns a vector
 //   decode_typed(span, T*)     — decode in place, false on malformed input
-//   decode_T(span)             — convenience: optional<T>
-// The *_into/_typed pair is what the hot paths use: encode side reuses a
-// per-daemon scratch buffer, decode side fills the shared per-payload cache.
+// They are what the hot paths use: the encode side reuses a per-daemon
+// scratch buffer, the decode side fills the shared per-payload cache.
+// encode(msg) and decode<T>(span) are the allocating conveniences.
+//
+// Adding a message takes one struct with kType and kFields, one MsgType
+// value (and its to_string name), and one entry in WireMessages.
 
-#define GS_DECLARE_CODEC(T)                                                    \
-  void encode_into(wire::Writer& w, const T& msg);                             \
-  [[nodiscard]] std::vector<std::uint8_t> encode(const T& msg);                \
-  [[nodiscard]] bool decode_typed(std::span<const std::uint8_t> payload,       \
-                                  T* out);                                     \
-  [[nodiscard]] std::optional<T> decode_##T(std::span<const std::uint8_t> payload);
+template <WireMessage T>
+void encode_into(wire::Writer& w, const T& msg);
 
-GS_DECLARE_CODEC(Beacon)
-GS_DECLARE_CODEC(JoinRequest)
-GS_DECLARE_CODEC(Prepare)
-GS_DECLARE_CODEC(PrepareAck)
-GS_DECLARE_CODEC(Commit)
-GS_DECLARE_CODEC(Heartbeat)
-GS_DECLARE_CODEC(Suspect)
-GS_DECLARE_CODEC(SuspectAck)
-GS_DECLARE_CODEC(Probe)
-GS_DECLARE_CODEC(ProbeAck)
-GS_DECLARE_CODEC(StaleNotice)
-GS_DECLARE_CODEC(MembershipReport)
-GS_DECLARE_CODEC(ReportAck)
-GS_DECLARE_CODEC(Ping)
-GS_DECLARE_CODEC(PingAck)
-GS_DECLARE_CODEC(PingReq)
-GS_DECLARE_CODEC(SubgroupPoll)
-GS_DECLARE_CODEC(SubgroupPollAck)
-GS_DECLARE_CODEC(DomainReport)
-GS_DECLARE_CODEC(DomainReportAck)
+template <WireMessage T>
+[[nodiscard]] bool decode_typed(std::span<const std::uint8_t> payload, T* out);
 
-#undef GS_DECLARE_CODEC
+template <WireMessage T>
+[[nodiscard]] std::vector<std::uint8_t> encode(const T& msg) {
+  wire::Writer w;
+  encode_into(w, msg);
+  return w.take();
+}
 
-// Builds a complete frame (header + payload) for any message struct.
-template <typename T>
-[[nodiscard]] std::vector<std::uint8_t> to_frame(const T& msg) {
-  return wire::encode_frame(static_cast<std::uint16_t>(T::kType), encode(msg));
+template <WireMessage T>
+[[nodiscard]] std::optional<T> decode(std::span<const std::uint8_t> payload) {
+  T msg;
+  if (!decode_typed(payload, &msg)) return std::nullopt;
+  return msg;
 }
 
 // Allocation-free framing: rewinds `scratch`, emits header + payload, and
 // returns a view of the finished frame (valid until the next use of
-// `scratch`). Byte-identical to to_frame() for the same message.
-template <typename T>
+// `scratch`).
+template <WireMessage T>
 [[nodiscard]] std::span<const std::uint8_t> build_frame(wire::Writer& scratch,
                                                         const T& msg) {
   wire::begin_frame(scratch, static_cast<std::uint16_t>(T::kType));
   encode_into(scratch, msg);
   return wire::finish_frame(scratch);
+}
+
+// A complete frame (header + payload) in its own buffer.
+template <WireMessage T>
+[[nodiscard]] std::vector<std::uint8_t> to_frame(const T& msg) {
+  wire::Writer w;
+  (void)build_frame(w, msg);
+  return w.take();
 }
 
 // A verified frame's payload plus (optionally) the refcounted Payload that

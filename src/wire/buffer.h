@@ -119,8 +119,11 @@ class Reader {
 
   void skip(std::size_t n);
 
- private:
+  // Marks the input malformed, for checks beyond the byte layout such as an
+  // enum value out of range.
   void fail() { failed_ = true; }
+
+ private:
 
   template <typename T>
   T read_le() {

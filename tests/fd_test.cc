@@ -133,14 +133,14 @@ class FdHarness {
     ASSERT_TRUE(decoded.ok());
     switch (static_cast<MsgType>(decoded.frame.type)) {
       case MsgType::kHeartbeat: {
-        auto hb = decode_Heartbeat(decoded.frame.payload);
+        auto hb = decode<Heartbeat>(decoded.frame.payload);
         ASSERT_TRUE(hb.has_value());
         dst.fd->on_heartbeat(from, *hb);
         break;
       }
       case MsgType::kPing: {
         // The AdapterProtocol normally answers pings; play its part.
-        auto ping = decode_Ping(decoded.frame.payload);
+        auto ping = decode<Ping>(decoded.frame.payload);
         ASSERT_TRUE(ping.has_value());
         PingAck ack{};
         ack.nonce = ping->nonce;
@@ -149,19 +149,19 @@ class FdHarness {
         break;
       }
       case MsgType::kPingAck: {
-        auto ack = decode_PingAck(decoded.frame.payload);
+        auto ack = decode<PingAck>(decoded.frame.payload);
         ASSERT_TRUE(ack.has_value());
         dst.fd->on_ping_ack(from, *ack);
         break;
       }
       case MsgType::kPingReq: {
-        auto req = decode_PingReq(decoded.frame.payload);
+        auto req = decode<PingReq>(decoded.frame.payload);
         ASSERT_TRUE(req.has_value());
         dst.fd->on_ping_req(from, *req);
         break;
       }
       case MsgType::kSubgroupPoll: {
-        auto poll = decode_SubgroupPoll(decoded.frame.payload);
+        auto poll = decode<SubgroupPoll>(decoded.frame.payload);
         ASSERT_TRUE(poll.has_value());
         SubgroupPollAck ack{};
         ack.seq = poll->seq;
@@ -169,7 +169,7 @@ class FdHarness {
         break;
       }
       case MsgType::kSubgroupPollAck: {
-        auto ack = decode_SubgroupPollAck(decoded.frame.payload);
+        auto ack = decode<SubgroupPollAck>(decoded.frame.payload);
         ASSERT_TRUE(ack.has_value());
         dst.fd->on_subgroup_poll_ack(from, *ack);
         break;
@@ -421,7 +421,7 @@ TEST(RingFd, BiRingSendsOnePayloadToBothNeighboursPerPeriod) {
     auto decoded = wire::decode_frame(a.frame.bytes());
     ASSERT_TRUE(decoded.ok());
     ASSERT_EQ(static_cast<MsgType>(decoded.frame.type), MsgType::kHeartbeat);
-    const auto hb = decode_Heartbeat(decoded.frame.payload);
+    const auto hb = decode<Heartbeat>(decoded.frame.payload);
     ASSERT_TRUE(hb.has_value());
     EXPECT_EQ(hb->view, 1u);
     if (i > 0) {
@@ -436,7 +436,7 @@ std::optional<Heartbeat> heartbeat_in(const net::Payload& frame) {
   if (!decoded.ok() ||
       static_cast<MsgType>(decoded.frame.type) != MsgType::kHeartbeat)
     return std::nullopt;
-  return decode_Heartbeat(decoded.frame.payload);
+  return decode<Heartbeat>(decoded.frame.payload);
 }
 
 TEST(RingFd, RestartFramesTheNewViewAndStopReleasesIt) {

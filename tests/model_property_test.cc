@@ -120,7 +120,7 @@ TEST_P(CodecFuzz, RandomStructsRoundTrip) {
       msg.is_leader = rng.chance(0.5);
       msg.view = rng.next();
       msg.group_size = static_cast<std::uint32_t>(rng.below(1000));
-      auto out = proto::decode_Beacon(proto::encode(msg));
+      auto out = proto::decode<proto::Beacon>(proto::encode(msg));
       ASSERT_TRUE(out.has_value());
       EXPECT_EQ(out->self, msg.self);
       EXPECT_EQ(out->view, msg.view);
@@ -136,7 +136,7 @@ TEST_P(CodecFuzz, RandomStructsRoundTrip) {
       for (std::size_t i = 0; i < n; ++i)
         members.push_back(random_member(rng));
       msg.members = std::move(members);
-      auto out = proto::decode_Prepare(proto::encode(msg));
+      auto out = proto::decode<proto::Prepare>(proto::encode(msg));
       ASSERT_TRUE(out.has_value());
       EXPECT_EQ(out->members, msg.members);
       EXPECT_EQ(out->leader, msg.leader);
@@ -149,7 +149,7 @@ TEST_P(CodecFuzz, RandomStructsRoundTrip) {
       for (std::size_t i = 0; i < n; ++i)
         members.push_back(random_member(rng));
       msg.members = std::move(members);
-      auto out = proto::decode_Commit(proto::encode(msg));
+      auto out = proto::decode<proto::Commit>(proto::encode(msg));
       ASSERT_TRUE(out.has_value());
       EXPECT_EQ(out->members, msg.members);
     }
@@ -169,7 +169,7 @@ TEST_P(CodecFuzz, RandomStructsRoundTrip) {
             rng.chance(0.5) ? proto::RemoveReason::kFailed
                             : proto::RemoveReason::kLeft});
       }
-      auto out = proto::decode_MembershipReport(proto::encode(msg));
+      auto out = proto::decode<proto::MembershipReport>(proto::encode(msg));
       ASSERT_TRUE(out.has_value());
       EXPECT_EQ(out->added, msg.added);
       ASSERT_EQ(out->removed.size(), msg.removed.size());

@@ -108,7 +108,7 @@ class ProtocolUnit : public ::testing::Test {
     // The coordinator sent Prepare to both; ack them.
     const SentFrame* prep = find_sent(MsgType::kPrepare, ip(5));
     ASSERT_NE(prep, nullptr);
-    const auto prepare = decode_Prepare(prep->payload);
+    const auto prepare = decode<Prepare>(prep->payload);
     ASSERT_TRUE(prepare.has_value());
     PrepareAck ack{};
     ack.view = prepare->view;
@@ -159,7 +159,7 @@ TEST_F(ProtocolUnit, PrepareDuringBeaconPhaseIsAckedAndCommitInstalls) {
   inject(ip(9), prepare);
   const SentFrame* ack = find_sent(MsgType::kPrepareAck, ip(9));
   ASSERT_NE(ack, nullptr);
-  EXPECT_TRUE(decode_PrepareAck(ack->payload)->ok);
+  EXPECT_TRUE(decode<PrepareAck>(ack->payload)->ok);
 
   Commit commit{};
   commit.view = 7;
@@ -192,7 +192,7 @@ TEST_F(ProtocolUnit, StalePrepareIsNacked) {
   inject(ip(8), stale);
   const SentFrame* nack = find_sent(MsgType::kPrepareAck, ip(8));
   ASSERT_NE(nack, nullptr);
-  const auto decoded = decode_PrepareAck(nack->payload);
+  const auto decoded = decode<PrepareAck>(nack->payload);
   EXPECT_FALSE(decoded->ok);
   EXPECT_EQ(decoded->holder_view, 7u);
 }
@@ -207,7 +207,7 @@ TEST_F(ProtocolUnit, PrepareNotListingSelfIsNacked) {
   inject(ip(9), prepare);
   const SentFrame* nack = find_sent(MsgType::kPrepareAck, ip(9));
   ASSERT_NE(nack, nullptr);
-  EXPECT_FALSE(decode_PrepareAck(nack->payload)->ok);
+  EXPECT_FALSE(decode<PrepareAck>(nack->payload)->ok);
 }
 
 TEST_F(ProtocolUnit, CommitExcludingSelfIsNotInstalled) {
@@ -280,7 +280,7 @@ TEST_F(ProtocolUnit, ProbeAnsweredInAnyState) {
   inject(ip(9), probe);
   const SentFrame* ack = find_sent(MsgType::kProbeAck, ip(9));
   ASSERT_NE(ack, nullptr);
-  EXPECT_EQ(decode_ProbeAck(ack->payload)->nonce, 0xABCu);
+  EXPECT_EQ(decode<ProbeAck>(ack->payload)->nonce, 0xABCu);
 }
 
 TEST_F(ProtocolUnit, PingAnsweredToOrigin) {
@@ -292,7 +292,7 @@ TEST_F(ProtocolUnit, PingAnsweredToOrigin) {
   inject(ip(6), ping);
   const SentFrame* ack = find_sent(MsgType::kPingAck, ip(7));
   ASSERT_NE(ack, nullptr);
-  EXPECT_EQ(decode_PingAck(ack->payload)->target, ip(5));
+  EXPECT_EQ(decode<PingAck>(ack->payload)->target, ip(5));
 }
 
 // A non-conforming coordinator may send its lists unsorted or with an
@@ -325,7 +325,7 @@ TEST_F(ProtocolUnit, UnsortedOrDuplicatedListsInstallTheNormalizedView) {
       inject(ip(9), prepare);
       const SentFrame* ack = find_sent(MsgType::kPrepareAck, ip(9));
       ASSERT_NE(ack, nullptr);
-      EXPECT_TRUE(decode_PrepareAck(ack->payload)->ok);
+      EXPECT_TRUE(decode<PrepareAck>(ack->payload)->ok);
 
       if (path == Path::kImplicit) {
         Heartbeat hb{};
@@ -364,7 +364,7 @@ TEST_F(ProtocolUnit, CoordinatorSendsPreparesByAscendingIpCommitsByRank) {
   };
   const auto prepared_view = [this] {
     const SentFrame* prep = find_sent(MsgType::kPrepare);
-    return prep == nullptr ? 0 : decode_Prepare(prep->payload)->view;
+    return prep == nullptr ? 0 : decode<Prepare>(prep->payload)->view;
   };
   const auto ack = [this](std::uint64_t view, int host) {
     PrepareAck a{};
@@ -424,7 +424,7 @@ TEST_F(ProtocolUnit, FormationCommitsAckedSubsetAfterTimeouts) {
   const SentFrame* prep = find_sent(MsgType::kPrepare, ip(5));
   ASSERT_NE(prep, nullptr);
   PrepareAck ack{};
-  ack.view = decode_Prepare(prep->payload)->view;
+  ack.view = decode<Prepare>(prep->payload)->view;
   ack.ok = true;
   inject(ip(5), ack);  // 3 stays silent
 
@@ -437,7 +437,7 @@ TEST_F(ProtocolUnit, FormationCommitsAckedSubsetAfterTimeouts) {
   // And the commit frame carried the final (reduced) membership.
   const SentFrame* commit = find_sent(MsgType::kCommit, ip(5));
   ASSERT_NE(commit, nullptr);
-  EXPECT_EQ(decode_Commit(commit->payload)->members.size(), 2u);
+  EXPECT_EQ(decode<Commit>(commit->payload)->members.size(), 2u);
 }
 
 TEST_F(ProtocolUnit, NackMakesCoordinatorStepClockAndRetryWithoutHolder) {
@@ -449,7 +449,7 @@ TEST_F(ProtocolUnit, NackMakesCoordinatorStepClockAndRetryWithoutHolder) {
   sim_.run_until(sim_.now() + params_.beacon_phase + sim::milliseconds(1));
   const SentFrame* prep = find_sent(MsgType::kPrepare, ip(5));
   ASSERT_NE(prep, nullptr);
-  const std::uint64_t first_view = decode_Prepare(prep->payload)->view;
+  const std::uint64_t first_view = decode<Prepare>(prep->payload)->view;
 
   PrepareAck nack{};
   nack.view = first_view;
@@ -477,7 +477,7 @@ TEST_F(ProtocolUnit, SuspectAckedAndVerifiedBeforeRemoval) {
 
   // The suspect answers: suspicion refuted, no removal.
   ProbeAck alive{};
-  alive.nonce = decode_Probe(probe->payload)->nonce;
+  alive.nonce = decode<Probe>(probe->payload)->nonce;
   inject(ip(3), alive);
   sim_.run_until(sim_.now() + sim::seconds(3));
   EXPECT_TRUE(proto_->committed().contains(ip(3)));
@@ -500,7 +500,7 @@ TEST_F(ProtocolUnit, UnansweredProbesRemoveTheSuspect) {
   const SentFrame* prep = find_sent(MsgType::kPrepare, ip(5));
   ASSERT_NE(prep, nullptr);
   PrepareAck ack{};
-  ack.view = decode_Prepare(prep->payload)->view;
+  ack.view = decode<Prepare>(prep->payload)->view;
   ack.ok = true;
   inject(ip(5), ack);
   ASSERT_TRUE(proto_->is_committed());
@@ -531,7 +531,7 @@ TEST_F(ProtocolUnit, LeaderReportsFullThenDelta) {
   const SentFrame* prep = find_sent(MsgType::kPrepare, ip(5));
   ASSERT_NE(prep, nullptr);
   PrepareAck ack{};
-  ack.view = decode_Prepare(prep->payload)->view;
+  ack.view = decode<Prepare>(prep->payload)->view;
   ack.ok = true;
   inject(ip(5), ack);
   ASSERT_FALSE(proto_->committed().contains(ip(3)));
@@ -562,7 +562,7 @@ TEST_F(ProtocolUnit, LeaderMergesIntoHigherLeader) {
   inject(ip(200), big);
   const SentFrame* join = find_sent(MsgType::kJoinRequest, ip(200));
   ASSERT_NE(join, nullptr);
-  const auto decoded = decode_JoinRequest(join->payload);
+  const auto decoded = decode<JoinRequest>(join->payload);
   EXPECT_EQ(decoded->members.size(), 3u);  // we bring our whole group
 
   // Rate limited: another beacon right away sends nothing new.
@@ -580,7 +580,7 @@ TEST_F(ProtocolUnit, JoinRequestSkipsHigherIpStaleClaims) {
   sim_.run_until(sim_.now() + params_.change_debounce + sim::milliseconds(10));
   const SentFrame* prep = find_sent(MsgType::kPrepare, ip(4));
   ASSERT_NE(prep, nullptr);
-  const auto prepared = decode_Prepare(prep->payload);
+  const auto prepared = decode<Prepare>(prep->payload);
   for (const MemberInfo& m : prepared->members) EXPECT_NE(m.ip, ip(250));
 }
 
@@ -699,7 +699,7 @@ TEST_F(ProtocolUnit, TopCandidateCountsDistinctPeersAndPreparesNonLeaders) {
   EXPECT_EQ(won[0], 4u);
   const SentFrame* prep = find_sent(MsgType::kPrepare);
   ASSERT_NE(prep, nullptr);
-  const auto prepare = decode_Prepare(prep->payload);
+  const auto prepare = decode<Prepare>(prep->payload);
   ASSERT_TRUE(prepare.has_value());
   std::set<util::IpAddress> members;
   for (const MemberInfo& m : prepare->members) members.insert(m.ip);
@@ -752,7 +752,7 @@ TEST_F(ProtocolUnit, StaleNoticeMapPrunedWhenPeerJoins) {
   const SentFrame* prep = find_sent(MsgType::kPrepare, ip(7));
   ASSERT_NE(prep, nullptr);
   PrepareAck ack{};
-  ack.view = decode_Prepare(prep->payload)->view;
+  ack.view = decode<Prepare>(prep->payload)->view;
   ack.ok = true;
   inject(ip(5), ack);
   inject(ip(3), ack);
@@ -777,7 +777,7 @@ TEST_F(ProtocolUnit, HeartbeatFromMonitoredNeighbourRearmsItsDeadline) {
   std::map<util::IpAddress, std::size_t> suspects;
   for (const SentFrame& f : sent_)
     if (f.type == MsgType::kSuspect)
-      ++suspects[decode_Suspect(f.payload)->suspect];
+      ++suspects[decode<Suspect>(f.payload)->suspect];
   EXPECT_GE(suspects[ip(3)], 1u);
   EXPECT_EQ(suspects[ip(7)], 0u);
   EXPECT_EQ(count_sent(MsgType::kStaleNotice), 0u);
@@ -806,7 +806,7 @@ TEST_F(ProtocolUnit, HeartbeatFromNonMemberGetsOneStaleNoticePerWindow) {
   }
   ASSERT_EQ(count_sent(MsgType::kStaleNotice), 1u);
   EXPECT_EQ(find_sent(MsgType::kStaleNotice)->to, ip(8));
-  EXPECT_EQ(decode_StaleNotice(find_sent(MsgType::kStaleNotice)->payload)
+  EXPECT_EQ(decode<StaleNotice>(find_sent(MsgType::kStaleNotice)->payload)
                 ->current_view,
             7u);
 
@@ -837,13 +837,13 @@ TEST_F(ProtocolUnit, ProbeAckStatesWhetherResponderLeadsProber) {
   inject(ip(5), probe);  // group member
   const SentFrame* in_group = find_sent(MsgType::kProbeAck, ip(5));
   ASSERT_NE(in_group, nullptr);
-  EXPECT_TRUE(decode_ProbeAck(in_group->payload)->leads_prober);
+  EXPECT_TRUE(decode<ProbeAck>(in_group->payload)->leads_prober);
 
   probe.nonce = 2;
   inject(ip(7), probe);  // stranger
   const SentFrame* stranger = find_sent(MsgType::kProbeAck, ip(7));
   ASSERT_NE(stranger, nullptr);
-  EXPECT_FALSE(decode_ProbeAck(stranger->payload)->leads_prober);
+  EXPECT_FALSE(decode<ProbeAck>(stranger->payload)->leads_prober);
 }
 
 TEST_F(ProtocolUnit, TakeoverProceedsWhenProbedLeaderDisownsUs) {
@@ -869,7 +869,7 @@ TEST_F(ProtocolUnit, TakeoverProceedsWhenProbedLeaderDisownsUs) {
   // liveness must not veto the succession, or a blipped leader would
   // wedge its orphans into re-suspecting it forever.
   ProbeAck ack{};
-  ack.nonce = decode_Probe(probe->payload)->nonce;
+  ack.nonce = decode<Probe>(probe->payload)->nonce;
   ack.leads_prober = false;
   inject(ip(9), ack);
   EXPECT_TRUE(proto_->is_leader());
@@ -891,7 +891,7 @@ TEST_F(ProtocolUnit, TakeoverStandsDownWhenLeaderStillClaimsUs) {
   ASSERT_NE(probe, nullptr);
 
   ProbeAck ack{};
-  ack.nonce = decode_Probe(probe->payload)->nonce;
+  ack.nonce = decode<Probe>(probe->payload)->nonce;
   ack.leads_prober = true;  // false suspicion: the leader still counts us
   inject(ip(9), ack);
   EXPECT_EQ(proto_->state(), AdapterState::kMember);
