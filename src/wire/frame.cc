@@ -17,28 +17,6 @@ std::string_view to_string(FrameError err) {
   return "?";
 }
 
-std::vector<std::uint8_t> encode_frame(std::uint16_t type,
-                                       std::span<const std::uint8_t> payload) {
-  Writer w(kFrameHeaderSize + payload.size());
-  w.u32(kFrameMagic);
-  w.u8(kWireVersion);
-  w.u8(0);  // reserved
-  w.u16(type);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  const std::size_t crc_offset = w.size();
-  w.u32(0);  // crc placeholder
-  w.raw(payload);
-
-  auto bytes = w.take();
-  std::uint32_t crc = crc32c_init();
-  crc = crc32c_update(crc, std::span(bytes).first(kFrameHeaderSize));
-  crc = crc32c_update(crc, payload);
-  crc = crc32c_finish(crc);
-  for (std::size_t i = 0; i < 4; ++i)
-    bytes[crc_offset + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  return bytes;
-}
-
 void begin_frame(Writer& w, std::uint16_t type) {
   w.clear();
   w.u32(kFrameMagic);
@@ -52,13 +30,22 @@ void begin_frame(Writer& w, std::uint16_t type) {
 std::span<const std::uint8_t> finish_frame(Writer& w) {
   const auto length = static_cast<std::uint32_t>(w.size() - kFrameHeaderSize);
   w.patch_u32(8, length);
-  // CRC over the whole frame while the crc field still holds zeros, which
-  // is exactly the "header with crc zeroed, then payload" encode_frame rule.
+  // CRC over the whole frame while the crc field still holds zeros: the
+  // "header with crc zeroed, then payload" rule verify_frame checks.
   std::uint32_t crc = crc32c_init();
   crc = crc32c_update(crc, w.bytes());
   crc = crc32c_finish(crc);
   w.patch_u32(12, crc);
   return w.bytes();
+}
+
+std::vector<std::uint8_t> encode_frame(std::uint16_t type,
+                                       std::span<const std::uint8_t> payload) {
+  Writer w(kFrameHeaderSize + payload.size());
+  begin_frame(w, type);
+  w.raw(payload);
+  (void)finish_frame(w);
+  return w.take();
 }
 
 VerifiedFrame verify_frame(std::span<const std::uint8_t> bytes) {

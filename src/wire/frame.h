@@ -10,7 +10,7 @@
 //                 payload
 //   16      n     payload
 //
-// decode() rejects bad magic, unsupported version, length mismatch, and CRC
+// verify_frame() rejects bad magic, unsupported version, length mismatch, and CRC
 // failure with a typed error so the fabric's corruption-injection tests can
 // assert the exact rejection reason.
 #pragma once
@@ -45,18 +45,19 @@ struct FrameView {
   std::span<const std::uint8_t> payload;
 };
 
-// Serializes type+payload into a complete datagram.
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(
-    std::uint16_t type, std::span<const std::uint8_t> payload);
-
 class Writer;
 
-// Allocation-free framing onto a reusable scratch Writer: begin_frame
-// rewinds the writer and emits the header with zeroed length/crc, the
-// caller appends the payload, finish_frame patches both fields. The bytes
-// produced are identical to encode_frame for the same type+payload.
+// The one frame writer. Allocation-free framing onto a reusable scratch
+// Writer: begin_frame rewinds the writer and emits the header with zeroed
+// length/crc, the caller appends the payload, finish_frame patches both
+// fields and returns the finished frame.
 void begin_frame(Writer& w, std::uint16_t type);
 [[nodiscard]] std::span<const std::uint8_t> finish_frame(Writer& w);
+
+// Serializes type+payload into a complete datagram in its own buffer
+// (begin_frame + payload + finish_frame).
+[[nodiscard]] std::vector<std::uint8_t> encode_frame(
+    std::uint16_t type, std::span<const std::uint8_t> payload);
 
 // Envelope verification result, expressed as offsets rather than pointers
 // so it can be cached beside refcounted payload bytes that may be pooled.

@@ -256,32 +256,6 @@ TEST(Frame, VerifyFrameMatchesDecodeFrame) {
   EXPECT_EQ(verify_frame(bytes).error, FrameError::kBadChecksum);
 }
 
-TEST(Frame, ScratchFramingIsByteIdenticalToEncodeFrame) {
-  Writer scratch;
-  // Two frames through the same scratch Writer: each must match the
-  // allocating encode_frame byte for byte (the golden-trace guarantee for
-  // the scratch-buffer encode path).
-  const std::vector<std::uint8_t> first{1, 2, 3, 4, 5, 6, 7};
-  begin_frame(scratch, 3);
-  for (auto b : first) scratch.u8(b);
-  auto view = finish_frame(scratch);
-  const auto legacy_first = encode_frame(3, first);
-  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()), legacy_first);
-
-  const std::vector<std::uint8_t> second{42};
-  begin_frame(scratch, 9);
-  scratch.u8(42);
-  view = finish_frame(scratch);
-  const auto legacy_second = encode_frame(9, second);
-  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
-            legacy_second);
-
-  begin_frame(scratch, 5);
-  view = finish_frame(scratch);
-  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
-            encode_frame(5, {}));
-}
-
 TEST(Frame, EmptyPayload) {
   auto bytes = encode_frame(1, {});
   auto result = decode_frame(bytes);
