@@ -740,7 +740,6 @@ void AdapterProtocol::declare_dead(util::IpAddress ip) {
   pending_adds_.erase(ip);
   pending_removes_[ip] = RemoveReason::kFailed;
   departures_[ip] = RemoveReason::kFailed;
-  if (hooks_.on_death_declared) hooks_.on_death_declared(ip);
   schedule_change();
 }
 

@@ -127,7 +127,6 @@ class AdapterProtocol : private AdapterProtocolHot {
     // build_report() and deliver it toward GulfStream Central.
     std::function<void()> on_report_pending;
     std::function<void(const MembershipView&)> on_committed;
-    std::function<void(util::IpAddress)> on_death_declared;
     std::function<void()> on_reset;
   };
 

@@ -9,6 +9,7 @@
 
 #include "gs/adapter_protocol.h"
 #include "net/fabric.h"
+#include "obs/trace.h"
 #include "wire/frame.h"
 
 namespace gs::proto {
@@ -66,9 +67,6 @@ class ProtoHarness {
 
     AdapterProtocol::Hooks hooks;
     hooks.on_report_pending = [this, ip] { reports_pending_[ip] = true; };
-    hooks.on_death_declared = [this, ip](util::IpAddress dead) {
-      deaths_.emplace_back(ip, dead);
-    };
 
     auto proto = std::make_unique<AdapterProtocol>(
         sim_, params_, frames_, self, std::move(net), std::move(hooks),
@@ -143,7 +141,6 @@ class ProtoHarness {
   std::map<util::IpAddress, std::unique_ptr<AdapterProtocol>> protocols_;
   std::map<util::IpAddress, util::AdapterId> adapter_ids_;
   std::map<util::IpAddress, bool> reports_pending_;
-  std::vector<std::pair<util::IpAddress, util::IpAddress>> deaths_;
 };
 
 // --- Discovery ----------------------------------------------------------------------
@@ -285,7 +282,15 @@ TEST(Protocol, WaitingForLeaderHearsLeaderBeaconsAndJoinsOnDeferExpiry) {
 // --- Failure handling ------------------------------------------------------------------
 
 TEST(Protocol, LeaderVerifiesBeforeDeclaringDeath) {
-  ProtoHarness h(crisp_params());
+  obs::TraceBus bus;
+  std::vector<obs::TraceRecord> deaths;
+  auto tap = bus.subscribe(obs::trace_mask({obs::TraceKind::kDeathDeclared}),
+                           [&](const obs::TraceRecord& record) {
+                             deaths.push_back(record);
+                           });
+  Params params = crisp_params();
+  params.trace = &bus;
+  ProtoHarness h(params);
   for (int host : {1, 2, 3, 4}) h.add(static_cast<std::uint8_t>(host));
   h.start_all();
   ASSERT_TRUE(h.run_until(sim::seconds(15),
@@ -296,8 +301,9 @@ TEST(Protocol, LeaderVerifiesBeforeDeclaringDeath) {
                           [&] { return h.group_converged({1, 3, 4}); }));
   EXPECT_GT(h.at(4).stats().probes_sent, 0u);
   EXPECT_EQ(h.at(4).stats().deaths_declared, 1u);
-  ASSERT_EQ(h.deaths_.size(), 1u);
-  EXPECT_EQ(h.deaths_[0].second, util::IpAddress(10, 0, 0, 2));
+  ASSERT_EQ(deaths.size(), 1u);
+  EXPECT_EQ(deaths[0].source, util::IpAddress(10, 0, 0, 4));
+  EXPECT_EQ(deaths[0].peer, util::IpAddress(10, 0, 0, 2));
 }
 
 TEST(Protocol, FalseSuspicionIsRefutedByProbe) {
